@@ -19,16 +19,7 @@ object BQ {
   val AnnotationUsd  = 8 * 0.08
 
   def resolveBlock(blockId: Long, block: Vector[Record], llm: LLMClient): BlockResult = {
-    val before = llm.usage
-    val uf  = new UnionFind(block.map(_.id))
-    var sep = Set.empty[(Long, Long)]
-
-    def separated(a: Long, b: Long): Boolean = {
-      val ra = uf.find(a); val rb = uf.find(b)
-      sep.exists { case (x, y) =>
-        (uf.find(x) == ra && uf.find(y) == rb) || (uf.find(x) == rb && uf.find(y) == ra)
-      }
-    }
+    val uf = new UnionFind(block.map(_.id))
 
     var pending = (for {
       i <- block.indices; j <- i + 1 until block.size
@@ -36,20 +27,19 @@ object BQ {
 
     while (pending.nonEmpty) {
       val needed = pending.filter { case (a, b) =>
-        !uf.connected(a.id, b.id) && !separated(a.id, b.id)
+        !uf.connected(a.id, b.id) && !uf.separated(a.id, b.id)
       }
       if (needed.isEmpty) pending = Vector.empty
       else {
         val batch = needed.take(PairsPerBatch)
         val answers = llm.batchMatch(batch, FewShotDemos)
         batch.zip(answers).foreach { case ((a, b), same) =>
-          if (same) uf.union(a.id, b.id) else sep += ((a.id, b.id))
+          if (same) uf.union(a.id, b.id) else uf.separate(a.id, b.id)
         }
         pending = needed.drop(PairsPerBatch)
       }
     }
 
-    BlockResult(blockId, Pairwise.assignmentOf(uf, block),
-                Pairwise.diff(before, llm.usage), Vector.empty)
+    BlockResult(blockId, Pairwise.assignmentOf(uf, block), llm.usage, Vector.empty)
   }
 }

@@ -27,7 +27,6 @@ object Booster {
   }
 
   def resolveBlock(blockId: Long, block: Vector[Record], llm: LLMClient): BlockResult = {
-    val before = llm.usage
     val cands  = Thresholds.map(t => partitionAt(block, t)).distinct
     val scores = scala.collection.mutable.ArrayBuffer.fill(cands.size)(0.0)
 
@@ -62,7 +61,6 @@ object Booster {
 
     val winner = cands(scores.indices.maxBy(i => (scores(i), -i)))
     val roots  = winner.values.toVector.distinct.sorted.zipWithIndex.toMap
-    BlockResult(blockId, winner.map { case (id, r) => id -> roots(r) },
-                Pairwise.diff(before, llm.usage), Vector.empty)
+    BlockResult(blockId, winner.map { case (id, r) => id -> roots(r) }, llm.usage, Vector.empty)
   }
 }

@@ -51,7 +51,6 @@ object CrowdER {
 
   def resolveBlock(blockId: Long, block: Vector[Record], llm: LLMClient,
                    setSize: Int, uncertainThreshold: Double): BlockResult = {
-    val before = llm.usage
     val uncertain = (for {
       i <- block.indices; j <- i + 1 until block.size
       if block(i).cos(block(j)) >= uncertainThreshold
@@ -72,7 +71,6 @@ object CrowdER {
         }
       }
     }
-    BlockResult(blockId, Pairwise.assignmentOf(uf, block),
-                Pairwise.diff(before, llm.usage), Vector.empty)
+    BlockResult(blockId, Pairwise.assignmentOf(uf, block), llm.usage, Vector.empty)
   }
 }

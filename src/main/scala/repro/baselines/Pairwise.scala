@@ -14,27 +14,15 @@ import repro.llm.LLMClient
   */
 object Pairwise {
 
-  /** Is (a, b) separated by anti-transitivity? `sep` holds record-id
-    * pairs asserted different; components make it transitive.
-    */
-  private def isSeparated(uf: UnionFind, sep: Set[(Long, Long)], a: Long, b: Long): Boolean = {
-    val ra = uf.find(a); val rb = uf.find(b)
-    sep.exists { case (x, y) =>
-      (uf.find(x) == ra && uf.find(y) == rb) || (uf.find(x) == rb && uf.find(y) == ra)
-    }
-  }
-
   def resolveBlock(blockId: Long, block: Vector[Record], llm: LLMClient,
                    useGuardrail: Boolean = true): BlockResult = {
-    val before = llm.usage
-    val uf  = new UnionFind(block.map(_.id))
-    var sep = Set.empty[(Long, Long)]
+    val uf = new UnionFind(block.map(_.id))
     val pairs = (for {
       i <- block.indices; j <- i + 1 until block.size
     } yield (block(i), block(j))).sortBy { case (a, b) => -a.cos(b) }
 
     pairs.foreach { case (a, b) =>
-      if (!uf.connected(a.id, b.id) && !isSeparated(uf, sep, a.id, b.id)) {
+      if (!uf.connected(a.id, b.id) && !uf.separated(a.id, b.id)) {
         var ans = llm.matchPair(a, b)
         if (useGuardrail) {
           // Guardrail: answer at odds with the similarity signal — re-ask
@@ -44,21 +32,15 @@ object Pairwise {
           if (suspicious) ans = llm.matchPair(b, a)
         }
         if (ans) uf.union(a.id, b.id)
-        else sep += ((a.id, b.id))
+        else uf.separate(a.id, b.id)
       }
     }
 
-    val assignment = assignmentOf(uf, block)
-    val after = llm.usage
-    BlockResult(blockId, assignment, diff(before, after), Vector.empty)
+    BlockResult(blockId, assignmentOf(uf, block), llm.usage, Vector.empty)
   }
 
   private[baselines] def assignmentOf(uf: UnionFind, block: Vector[Record]): Map[Long, Int] = {
     val roots = block.map(r => uf.find(r.id)).distinct.sorted.zipWithIndex.toMap
     block.map(r => r.id -> roots(uf.find(r.id))).toMap
   }
-
-  private[baselines] def diff(before: Usage, after: Usage): Usage =
-    Usage(after.apiCalls - before.apiCalls, after.inputTokens - before.inputTokens,
-          after.outputTokens - before.outputTokens, after.latencyMs - before.latencyMs)
 }

@@ -61,15 +61,15 @@ object BlockResolver {
   /** Resolve one block end-to-end. */
   def resolve(blockId: Long, block: Vector[Record], llm: LLMClient, p: ERParams,
               fewShot: Int = 0): BlockResult = {
-    val before = llm.usage
     if (block.size <= 1) {
-      return BlockResult(blockId, block.map(_.id -> 0).toMap, Usage.zero, Vector.empty)
+      return BlockResult(blockId, block.map(_.id -> 0).toMap, llm.usage, Vector.empty)
     }
 
     var idCounter = 0L
     def nextId(): Long = { idCounter += 1; idCounter }
 
-    val sep          = new CMR.Separations
+    // Each cluster is one component; separations are anti-transitivity.
+    val uf           = new UnionFind(block.map(_.id))
     val setsPerLevel = Vector.newBuilder[Int]
 
     // ---- Level 0: NRS record sets over the raw records ----
@@ -79,8 +79,8 @@ object BlockResolver {
       val g = clusterWithGuardrail(set, llm, p, fewShot)
       level0Calls += g.calls
       val hcs = g.result.clusters.map { members =>
-        val id = nextId()
-        CMR.HCluster(id, members, Set(id))
+        members.tail.foreach(r => uf.union(members.head.id, r.id))
+        CMR.HCluster(nextId(), members)
       }
       // Anti-transitivity between the distinct clusters of one answer —
       // except suspect singletons, whose placement was discarded.
@@ -88,7 +88,7 @@ object BlockResolver {
       for {
         i <- hcs.indices; j <- hcs.indices if i < j
         if !suspect(hcs(i)) && !suspect(hcs(j))
-      } sep.add(hcs(i), hcs(j))
+      } CMR.separate(uf, hcs(i), hcs(j))
       hcs
     }
     setsPerLevel += level0Calls
@@ -99,7 +99,7 @@ object BlockResolver {
     val maxLevels = 5 // paper's deepest hierarchy (Table 3: Alaska, level 5)
     while (progress && level < maxLevels && clusters.size > 1) {
       level += 1
-      val (sets, leftovers) = CMR.nextRoundSets(clusters, sep, p)
+      val (sets, leftovers) = CMR.nextRoundSets(clusters, uf, p)
       if (sets.isEmpty) { progress = false }
       else {
         var calls   = 0
@@ -109,7 +109,7 @@ object BlockResolver {
           val reps = inputSet.map(_.rep)
           val g = clusterWithGuardrail(reps, llm, p, fewShot)
           calls += g.calls
-          val out = CMR.applyAnswer(inputSet, g.result, sep, () => nextId(), g.suspects)
+          val out = CMR.applyAnswer(inputSet, g.result, uf, () => nextId(), g.suspects)
           if (out.size < inputSet.size) merges += inputSet.size - out.size
           merged ++= out
         }
@@ -126,12 +126,6 @@ object BlockResolver {
     require(assignment.size == block.size,
       s"block $blockId: ${assignment.size} assignments for ${block.size} records")
 
-    val after = llm.usage
-    BlockResult(blockId, assignment,
-      Usage(after.apiCalls - before.apiCalls,
-            after.inputTokens - before.inputTokens,
-            after.outputTokens - before.outputTokens,
-            after.latencyMs - before.latencyMs),
-      setsPerLevel.result())
+    BlockResult(blockId, assignment, llm.usage, setsPerLevel.result())
   }
 }

@@ -12,12 +12,14 @@ package repro.core
   */
 object CMR {
 
-  /** A cluster in the merge hierarchy.
+  /** A cluster in the merge hierarchy. Its members are one component of
+    * the block's [[UnionFind]], which records which clusters are known
+    * to be different entities; `members.head.id` names the component.
     *
-    * @param id      stable id within the block's resolution
-    * @param lineage ids of all ancestor clusters (for separation checks)
+    * @param id stable id within the block's resolution (orders the
+    *           next round's packing)
     */
-  final case class HCluster(id: Long, members: Vector[Record], lineage: Set[Long]) {
+  final case class HCluster(id: Long, members: Vector[Record]) {
     /** Representative record: member closest to the mean embedding. */
     lazy val rep: Record =
       if (members.size == 1) members.head
@@ -31,15 +33,13 @@ object CMR {
       }
   }
 
-  /** Tracks which cluster lineages are known to be different entities. */
-  final class Separations {
-    private val pairs = scala.collection.mutable.Set.empty[(Long, Long)]
-    private def key(a: Long, b: Long): (Long, Long) = if (a < b) (a, b) else (b, a)
-    def add(a: HCluster, b: HCluster): Unit = pairs += key(a.id, b.id)
-    def separated(a: HCluster, b: HCluster): Boolean =
-      a.lineage.exists(x => b.lineage.exists(y => pairs.contains(key(x, y))))
-    def size: Int = pairs.size
-  }
+  /** Are two clusters known to be different entities? */
+  def separated(uf: UnionFind, a: HCluster, b: HCluster): Boolean =
+    uf.separated(a.members.head.id, b.members.head.id)
+
+  /** Record that two clusters are different entities. */
+  def separate(uf: UnionFind, a: HCluster, b: HCluster): Unit =
+    uf.separate(a.members.head.id, b.members.head.id)
 
   private def sim(a: HCluster, b: HCluster): Double = a.rep.cos(b.rep)
 
@@ -49,7 +49,7 @@ object CMR {
     */
   def nextRoundSets(
       clusters: Vector[HCluster],
-      sep: Separations,
+      uf: UnionFind,
       p: ERParams,
   ): (Vector[Vector[HCluster]], Vector[HCluster]) = {
     val chainLen = math.max(1, math.ceil(p.setSize.toDouble / p.setDiversity).toInt)
@@ -63,7 +63,7 @@ object CMR {
       var exhausted = false
       while (j < p.setDiversity && set.size < p.setSize && !exhausted) {
         // Seed of chain j: first unselected cluster compatible with the set so far.
-        unsel.find(c => set.forall(s => !sep.separated(s, c))) match {
+        unsel.find(c => set.forall(s => !separated(uf, s, c))) match {
           case None => exhausted = true
           case Some(seed) =>
             unsel -= seed
@@ -72,7 +72,7 @@ object CMR {
             var grown = 1
             var stop  = false
             while (grown < chainLen && set.size < p.setSize && !stop) {
-              val candidates = unsel.filter(c => set.forall(s => !sep.separated(s, c)))
+              val candidates = unsel.filter(c => set.forall(s => !separated(uf, s, c)))
               if (candidates.isEmpty) stop = true
               else {
                 val nxt = candidates.maxBy(c => (sim(cur, c), -c.id))
@@ -92,13 +92,14 @@ object CMR {
   }
 
   /** Apply one LLM answer over a set of representatives: co-clustered
-    * representatives merge their clusters; every unmerged co-input pair
-    * becomes a recorded separation. Returns the set's merged clusters.
+    * representatives merge their clusters (a union in `uf`); every
+    * unmerged co-input pair becomes a recorded separation. Returns the
+    * set's merged clusters.
     */
   def applyAnswer(
       inputSet: Vector[HCluster],
       repClusters: Clustering,
-      sep: Separations,
+      uf: UnionFind,
       nextId: () => Long,
       suspects: Set[Long] = Set.empty,
   ): Vector[HCluster] = {
@@ -115,12 +116,12 @@ object CMR {
       i <- groups.indices; j <- groups.indices if i < j
       if !isSuspect(groups(i)) && !isSuspect(groups(j))
       a <- groups(i); b <- groups(j)
-    } sep.add(a, b)
+    } separate(uf, a, b)
     groups.map { g =>
       if (g.size == 1) g.head
       else {
-        val id = nextId()
-        HCluster(id, g.flatMap(_.members), g.flatMap(_.lineage).toSet + id)
+        g.tail.foreach(c => uf.union(g.head.members.head.id, c.members.head.id))
+        HCluster(nextId(), g.flatMap(_.members))
       }
     }
   }

@@ -3,7 +3,6 @@ package repro.core
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.blocking.Blocking
 import repro.embed.Embed
-import repro.llm.{LLMConfig, SimulatedLLM}
 
 /** End-to-end result of an ER run over a dataset. */
 final case class ERResult(
@@ -11,7 +10,6 @@ final case class ERResult(
     usage: Usage,
     setsPerLevel: Vector[Int],
     numBlocks: Int,
-    blockThreshold: Double,
 )
 
 /** The LLM-CER Spark driver (Algorithm 4 at dataset scale), plus the
@@ -97,23 +95,6 @@ object LLMCER {
     val maxLv = outcomes.map(_.levels.size).maxOption.getOrElse(0)
     val levels = Vector.tabulate(maxLv)(i =>
       outcomes.map(o => if (i < o.levels.size) o.levels(i) else 0).sum)
-    ERResult(partition, usage, levels, outcomes.size, bt)
-  }
-
-  /** The paper's method: LLM-CER with NRS + MDG + CMR per block. */
-  def run(spark: SparkSession, ds: Dataset[Record],
-          strategy: Blocking.Strategy = Blocking.LSH,
-          params: ERParams = ERParams.default,
-          cfg: LLMConfig = LLMConfig.default,
-          fewShot: Int = 0,
-          btOverride: Option[Double] = None): ERResult = {
-    val bt = btOverride.getOrElse(tunedThreshold(ds, strategy))
-    // MDG's similarity function follows the block-creation method (§5.2);
-    // its floor is validation-tuned (see tunedFloor).
-    val p  = if (params.coherenceFloor > 0) params
-             else params.copy(coherenceFloor = tunedFloor(ds, strategy))
-    val fn: BlockFn = (bid, recs) =>
-      BlockResolver.resolve(bid, recs, new SimulatedLLM(cfg), p, fewShot)
-    runWith(spark, ds, strategy, fn, Some(bt))
+    ERResult(partition, usage, levels, outcomes.size)
   }
 }

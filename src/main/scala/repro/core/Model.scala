@@ -70,7 +70,10 @@ final case class Usage(
 
 object Usage { val zero: Usage = Usage() }
 
-/** Result of resolving one block: local cluster assignment + telemetry. */
+/** Result of resolving one block: local cluster assignment + telemetry.
+  * `usage` is the resolving client's whole usage: every `LLMCER.BlockFn`
+  * gives each block a fresh client.
+  */
 final case class BlockResult(
     blockId: Long,
     assignment: Map[Long, Int],        // recordId -> local cluster index

@@ -45,7 +45,8 @@ object Harness {
      Metrics.nmi(partition, truth), Metrics.ari(partition, truth))
 
   /** Resolve the per-block function for a method. All methods share the
-    * same blocking and the same simulated LLM configuration.
+    * same blocking and the same simulated LLM configuration; each block
+    * gets a fresh client, so a block's usage is its client's usage.
     */
   def blockFn(method: Method, params: ERParams, cfg: LLMConfig, fewShot: Int,
               bt: Double, floor: Double = 0.0): LLMCER.BlockFn = method match {

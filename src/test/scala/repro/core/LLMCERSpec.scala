@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.Dataset
 import repro.SparkSpec
 import repro.blocking.Blocking
 import repro.data.DatasetProfile
@@ -10,9 +11,17 @@ class LLMCERSpec extends SparkSpec {
 
   private lazy val mini = DatasetProfile.mini(DatasetProfile.citeseer, 300)
 
+  /** LLM-CER with LSH blocking, composed as `Harness.runOnDataset` composes it. */
+  private def runCer(ds: Dataset[Record]): ERResult = {
+    val bt    = LLMCER.tunedThreshold(ds, Blocking.LSH)
+    val floor = LLMCER.tunedFloor(ds, Blocking.LSH)
+    val fn    = Harness.blockFn(Harness.MCer, ERParams.default, LLMConfig.default, 0, bt, floor)
+    LLMCER.runWith(spark, ds, Blocking.LSH, fn, Some(bt))
+  }
+
   test("end-to-end LLM-CER partitions every record exactly once") {
     val ds  = repro.data.ERGen.records(spark, mini).cache()
-    val res = LLMCER.run(spark, ds)
+    val res = runCer(ds)
     assert(res.partition.map(_.size).sum == mini.numRecords)
     assert(res.partition.flatten.toSet.size == mini.numRecords)
     ds.unpersist()
@@ -27,7 +36,7 @@ class LLMCERSpec extends SparkSpec {
 
   test("setsPerLevel decreases from level 0 and api calls equal their sum") {
     val ds  = repro.data.ERGen.records(spark, mini).cache()
-    val res = LLMCER.run(spark, ds)
+    val res = runCer(ds)
     assert(res.setsPerLevel.nonEmpty)
     assert(res.setsPerLevel.head == res.setsPerLevel.max)
     assert(res.usage.apiCalls == res.setsPerLevel.map(_.toLong).sum)
