@@ -122,11 +122,7 @@ object Blocking {
     val a = expl.as("a"); val b = expl.as("b")
     val cand = a.join(b, col("a.tok") === col("b.tok") && col("a.id") < col("b.id"))
       .select(col("a.id").as("id_a"), col("b.id").as("id_b")).distinct()
-    val jacUdf  = udf { (x: Seq[String], y: Seq[String]) =>
-      val xs = x.toSet; val ys = y.toSet
-      if (xs.isEmpty && ys.isEmpty) 1.0
-      else xs.intersect(ys).size.toDouble / xs.union(ys).size
-    }
+    val jacUdf  = udf { (x: Seq[String], y: Seq[String]) => Embed.jaccard(x.toSet, y.toSet) }
     val fullJac = udf { (x: String, y: String) => Embed.jaccard(x, y) }
     val scored = cand
       .join(firstAttr.select(col("id").as("ia"), col("toks").as("toks_a"), col("text").as("text_a")), col("id_a") === col("ia"))
@@ -200,22 +196,37 @@ object Blocking {
   }
 
   /** Tune the similarity threshold bt on a labeled validation sample
-    * (§5.1's 0.05..0.95 sweep) by maximising pairwise F1.
+    * (§5.1's 0.05..0.95 sweep) by maximising pairwise F1, where a pair
+    * is predicted to match when its similarity `s >= t`.
     */
   def tuneThreshold(sample: Vector[Record], sims: (Record, Record) => Double): Double = {
-    val pairs = for {
-      i <- sample.indices; j <- i + 1 until sample.size
-    } yield (sims(sample(i), sample(j)), sample(i).entityId == sample(j).entityId)
+    val same = Array.newBuilder[Double]; val diff = Array.newBuilder[Double]
+    for (i <- sample.indices; j <- i + 1 until sample.size) {
+      val s = sims(sample(i), sample(j))
+      // A NaN similarity is neither >= t nor < t: it counts nowhere.
+      if (!s.isNaN) { if (sample(i).entityId == sample(j).entityId) same += s else diff += s }
+    }
+    val sameSims = same.result(); val diffSims = diff.result()
+    java.util.Arrays.sort(sameSims); java.util.Arrays.sort(diffSims)
     val thresholds = (1 to 19).map(_ * 0.05)
-    val best = thresholds.maxBy { t =>
-      val tp = pairs.count { case (s, same) => s >= t && same }
-      val fp = pairs.count { case (s, same) => s >= t && !same }
-      val fn = pairs.count { case (s, same) => s < t && same }
+    thresholds.maxBy { t =>
+      val tp = atLeast(sameSims, t)
+      val fp = atLeast(diffSims, t)
+      val fn = sameSims.length - tp
       if (tp == 0) 0.0 else {
         val p = tp.toDouble / (tp + fp); val r = tp.toDouble / (tp + fn)
         2 * p * r / (p + r)
       }
     }
-    best
+  }
+
+  /** How many of the ascending `sorted` are `>= t`. */
+  private def atLeast(sorted: Array[Double], t: Double): Int = {
+    var lo = 0; var hi = sorted.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (sorted(mid) < t) lo = mid + 1 else hi = mid
+    }
+    sorted.length - lo
   }
 }

@@ -38,13 +38,18 @@ object LLMCER {
   /** Tune the blocking threshold on a labeled sample (§5.1). */
   def tunedThreshold(ds: Dataset[Record], strategy: Blocking.Strategy): Double = {
     val sample = ds.sort("id").limit(600).collect().toVector
-    Blocking.tuneThreshold(sample, simOf(strategy))
+    Blocking.tuneThreshold(sample, simOf(strategy, sample))
   }
 
-  private def simOf(strategy: Blocking.Strategy): (Record, Record) => Double =
+  /** The strategy's similarity over records of `sample`: cosine for LSH,
+    * token Jaccard otherwise, with each record tokenized once.
+    */
+  private def simOf(strategy: Blocking.Strategy, sample: Vector[Record]): (Record, Record) => Double =
     strategy match {
       case Blocking.LSH => (a, b) => a.cos(b)
-      case _            => (a, b) => Embed.jaccard(a.text, b.text)
+      case _ =>
+        val toks = sample.iterator.map(r => r.id -> Embed.tokens(r.text).toSet).toMap
+        (a, b) => Embed.jaccard(toks(a.id), toks(b.id))
     }
 
   /** MDG coherence floor: the 5th percentile of same-entity pair
@@ -54,7 +59,7 @@ object LLMCER {
     */
   def tunedFloor(ds: Dataset[Record], strategy: Blocking.Strategy): Double = {
     val sample = ds.sort("id").limit(600).collect().toVector
-    val sim = simOf(strategy)
+    val sim = simOf(strategy, sample)
     val sameSims = (for {
       i <- sample.indices; j <- i + 1 until sample.size
       if sample(i).entityId == sample(j).entityId

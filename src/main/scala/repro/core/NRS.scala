@@ -42,8 +42,7 @@ object NRS {
       (orderSequentially(remain), Vector.empty)
     } else {
       // Preliminary diversity assessment (Lines 9–10).
-      val k      = math.max(1, KMeans.elbowK(remain, math.min(p.setSize, 8), p.seed))
-      val proxy  = KMeans.cluster(remain, k, p.seed)
+      val proxy   = KMeans.elbow(remain, math.min(p.setSize, 8), p.seed).clusters
       val proxyOf = proxy.zipWithIndex.flatMap { case (c, i) => c.map(_.id -> i) }.toMap
       val targetSize = math.max(1, p.setSize / p.setDiversity)
 

@@ -1,5 +1,7 @@
 package repro.embed
 
+import java.util.regex.Pattern
+
 /** Lightweight text similarity substrate.
   *
   * Stands in for the paper's all-MiniLM-L6-v2 sentence embeddings
@@ -11,13 +13,16 @@ package repro.embed
 object Embed {
   val Dim = 64
 
+  private val NonAlnum = Pattern.compile("[^a-z0-9]+")
+  private val Spaces   = Pattern.compile("\\s+")
+
   /** Lowercased alphanumeric word tokens. */
   def tokens(text: String): Vector[String] =
-    text.toLowerCase.split("[^a-z0-9]+").iterator.filter(_.nonEmpty).toVector
+    NonAlnum.split(text.toLowerCase).iterator.filter(_.nonEmpty).toVector
 
   /** Character 3-grams of the padded, lowercased text. */
   def ngrams(text: String, n: Int = 3): Vector[String] = {
-    val t = "\u0001" + text.toLowerCase.replaceAll("\\s+", " ").trim + "\u0002"
+    val t = "\u0001" + Spaces.matcher(text.toLowerCase).replaceAll(" ").trim + "\u0002"
     if (t.length < n) Vector(t) else (0 to t.length - n).map(i => t.substring(i, i + n)).toVector
   }
 
@@ -42,14 +47,17 @@ object Embed {
   }
 
   /** Token-set Jaccard similarity — the filtering path's metric (§5.1). */
-  def jaccard(a: String, b: String): Double = {
-    val ta = tokens(a).toSet; val tb = tokens(b).toSet
+  def jaccard(a: String, b: String): Double = jaccard(tokens(a).toSet, tokens(b).toSet)
+
+  /** Jaccard similarity of two token sets: |a ∩ b| / |a ∪ b|, and 1 for
+    * two empty sets.
+    */
+  def jaccard(ta: Set[String], tb: Set[String]): Double =
     if (ta.isEmpty && tb.isEmpty) 1.0
     else {
-      val inter = ta.intersect(tb).size
+      val inter = ta.count(tb.contains)
       inter.toDouble / (ta.size + tb.size - inter)
     }
-  }
 
   /** Rough GPT-style token count: ~4 characters per token. */
   def llmTokens(text: String): Long = math.max(1L, math.round(text.length / 4.0))

@@ -1,12 +1,13 @@
 package repro.blocking
 
 import org.apache.spark.sql.functions._
-import repro.SparkSpec
+import org.scalacheck.{Gen, Prop}
+import repro.{PropSupport, SparkSpec}
 import repro.core.Record
 import repro.data.{DatasetProfile, ERGen}
 import repro.embed.Embed
 
-class BlockingSpec extends SparkSpec {
+class BlockingSpec extends SparkSpec with PropSupport {
 
   private lazy val mini = DatasetProfile.mini(DatasetProfile.citeseer, 250)
   private lazy val ds   = {
@@ -100,7 +101,7 @@ class BlockingSpec extends SparkSpec {
     assert(blocks.select("block_id").distinct().count() == 1)
   }
 
-  test("tuneThreshold returns a threshold in (0,1) maximising pair F2") {
+  test("tuneThreshold returns a threshold in (0,1) maximising pair F1") {
     val t = Blocking.tuneThreshold(local.take(120), (a, b) => a.cos(b))
     assert(t >= 0.05 && t <= 0.95)
   }
@@ -115,5 +116,37 @@ class BlockingSpec extends SparkSpec {
     val t = Blocking.tuneThreshold(recs, (a, b) => a.cos(b))
     val same = recs(0).cos(recs(1)); val diff = recs(0).cos(recs(2))
     assert(t <= same && t > math.min(0.05, diff - 1))
+  }
+
+  /** The sweep as first written: count every pair at every threshold. */
+  private def bruteForceThreshold(sample: Vector[Record], sims: (Record, Record) => Double): Double = {
+    val pairs = for {
+      i <- sample.indices; j <- i + 1 until sample.size
+    } yield (sims(sample(i), sample(j)), sample(i).entityId == sample(j).entityId)
+    (1 to 19).map(_ * 0.05).maxBy { t =>
+      val tp = pairs.count { case (s, same) => s >= t && same }
+      val fp = pairs.count { case (s, same) => s >= t && !same }
+      val fn = pairs.count { case (s, same) => s < t && same }
+      if (tp == 0) 0.0 else {
+        val p = tp.toDouble / (tp + fp); val r = tp.toDouble / (tp + fn)
+        2 * p * r / (p + r)
+      }
+    }
+  }
+
+  test("tuneThreshold equals brute-force counting, ties at s == t included") {
+    // Similarities are drawn mostly from the threshold grid itself.
+    val sim = Gen.frequency(4 -> Gen.choose(0, 20).map(_ * 0.05), 1 -> Gen.choose(0.0, 1.0),
+                            1 -> Gen.const(Double.NaN))
+    val gen = for {
+      n    <- Gen.choose(0, 30)
+      ents <- Gen.listOfN(n, Gen.choose(0L, 6L))
+      sims <- Gen.listOfN(n * n, sim)
+    } yield (ents.zipWithIndex.map { case (e, i) => Record(i.toLong, e, "", Array.emptyFloatArray) }.toVector,
+             sims.toVector)
+    checkProp(Prop.forAllNoShrink(gen) { case (recs, table) =>
+      val sims = (a: Record, b: Record) => table((a.id * recs.size + b.id).toInt)
+      Blocking.tuneThreshold(recs, sims) == bruteForceThreshold(recs, sims)
+    }, minTests = 300)
   }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.Dataset
 import repro.SparkSpec
 import repro.blocking.Blocking
 import repro.data.DatasetProfile
-import repro.exp.Harness
+import repro.exp.{Harness, ResultRow}
 import repro.llm.LLMConfig
 
 class LLMCERSpec extends SparkSpec {
@@ -100,5 +100,17 @@ class LLMCERSpec extends SparkSpec {
     val bq   = Harness.run(spark, p, Harness.MBq)
     assert(cer.fp >= bq.fp - 0.10, s"cer=${cer.fp} bq=${bq.fp}")
     assert(cer.apiCalls < bq.apiCalls)
+  }
+
+  test("LLM-CER without blocking on a Cora mini profile reproduces its recorded ResultRow") {
+    // Pinned output: one 300-record block runs threshold and floor tuning,
+    // NRS with its k-means elbow search over the whole block, the simulated
+    // LLM, MDG and CMR. Any change to their arithmetic order moves this row.
+    // A change that alters outputs on purpose updates the row and says so.
+    val row = Harness.run(spark, DatasetProfile.mini(DatasetProfile.cora, 300), Harness.MCer,
+                          Blocking.NoBlocking)
+    assert(row == ResultRow("Cora-300", "LLM-CER", 0.5233333333333333, 0.5877620396600566,
+      0.6395404792278948, 0.34536946097405974, 0.0177639, 0.106306, 4.114366666666666, 137,
+      Vector(55, 24, 16, 17, 12, 13), 1))
   }
 }
