@@ -7,10 +7,12 @@ import repro.embed.Embed
 
 /** Filtering / blocking strategies of §5.1, as Spark dataflow.
   *
-  * Each strategy produces candidate record pairs with a Spark
-  * self-join (the data-heavy part), prunes them with a similarity
-  * threshold, and forms blocks as connected components of the surviving
-  * edges (transitive block merging). Components are computed with a
+  * Each strategy produces scored candidate record pairs in Spark (the
+  * data-heavy part): LSH scores each pair inside its bucket task, while
+  * Filter and Canopy self-join on tokens and join the pairs back to
+  * their texts. Pairs below a similarity threshold are pruned, and
+  * blocks are the connected components of the surviving edges
+  * (transitive block merging). Components are computed with a
   * driver-side union-find over the collected edge list — edge lists are
   * tiny relative to the pair space after pruning.
   */
@@ -23,7 +25,16 @@ object Blocking {
   case object NoBlocking extends Strategy { val name = "NoBlocking" }
 
   /** Candidate pairs (id_a < id_b) with cosine similarity, via
-    * random-hyperplane LSH banding over the record embeddings.
+    * random-hyperplane LSH banding over the record embeddings: two
+    * records are candidates when all `bits` signs of some band agree.
+    *
+    * One shuffle: each record computes its `bands` signatures once and
+    * is sent, with its vector, to the bucket (band, signature) of each
+    * band. A bucket task pairs its members and keeps a pair only in the
+    * first band where the two signatures agree, so every candidate comes
+    * out exactly once, and scores it with `Embed.cosine` on the vectors
+    * it already holds. Pairs leave the task through a lazy iterator;
+    * the task holds only its bucket's members.
     */
   def lshCandidates(spark: SparkSession, ds: Dataset[Record],
                     bands: Int = 8, bits: Int = 8, seed: Long = 7L): DataFrame = {
@@ -35,9 +46,9 @@ object Blocking {
       Array.fill(bands * bits)(Array.fill(dim)((rnd.nextGaussian()).toFloat))
     }
     val bc = spark.sparkContext.broadcast(planes)
-    val sigs = ds.flatMap { r =>
+    val members = ds.flatMap { r =>
       val ps = bc.value
-      (0 until bands).map { b =>
+      val sigs = Array.tabulate(bands) { b =>
         var sig = 0L
         var k = 0
         while (k < bits) {
@@ -47,32 +58,26 @@ object Blocking {
           if (s >= 0) sig |= (1L << k)
           k += 1
         }
-        (b, sig, r.id)
+        sig
       }
-    }.toDF("band", "sig", "id")
-    val a = sigs.as("a"); val b = sigs.as("b")
-    val pairs = a.join(b,
-        col("a.band") === col("b.band") && col("a.sig") === col("b.sig") &&
-        col("a.id") < col("b.id"))
-      .select(col("a.id").as("id_a"), col("b.id").as("id_b"))
-      .distinct()
-    withCosine(spark, ds, pairs)
+      Iterator.tabulate(bands)(b => (b, sigs(b), r.id, r.vec, sigs))
+    }
+    members.groupByKey(m => (m._1, m._2)).flatMapGroups { (bucket, it) =>
+      val band = bucket._1
+      val ms   = it.toArray.sortBy(_._3)
+      for {
+        i <- Iterator.range(0, ms.length)
+        j <- Iterator.range(i + 1, ms.length)
+        if firstAgreeingBand(ms(i)._5, ms(j)._5) == band
+      } yield (ms(i)._3, ms(j)._3, Embed.cosine(ms(i)._4, ms(j)._4))
+    }.toDF("id_a", "id_b", "sim")
   }
 
-  /** Join candidate pairs back to embeddings and score with cosine. */
-  private def withCosine(spark: SparkSession, ds: Dataset[Record], pairs: DataFrame): DataFrame = {
-    import spark.implicits._
-    val vecs = ds.map(r => (r.id, r.vec)).toDF("vid", "vec")
-    val cosUdf = udf { (a: Seq[Float], b: Seq[Float]) =>
-      var s = 0.0; var i = 0
-      while (i < a.length) { s += a(i) * b(i); i += 1 }
-      s
-    }
-    pairs
-      .join(vecs, col("id_a") === col("vid")).withColumnRenamed("vec", "vec_a").drop("vid")
-      .join(vecs, col("id_b") === col("vid")).withColumnRenamed("vec", "vec_b").drop("vid")
-      .withColumn("sim", cosUdf(col("vec_a"), col("vec_b")))
-      .select("id_a", "id_b", "sim")
+  /** The first band in which two records' signatures agree. */
+  private def firstAgreeingBand(a: Array[Long], b: Array[Long]): Int = {
+    var k = 0
+    while (a(k) != b(k)) k += 1
+    k
   }
 
   /** Candidate pairs via prefix-filtered token similarity join (the

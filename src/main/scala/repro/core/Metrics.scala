@@ -15,6 +15,20 @@ object Metrics {
 
   private def total(x: Partition): Long = x.map(_.size.toLong).sum
 
+  /** The nonzero cells (i, j, |x(i) ∩ y(j)|) of the contingency table of
+    * `x` against `y`, in ascending (i, j) order, built in one pass over
+    * the records of `x`. The metrics below visit them in the order of a
+    * loop over i, then j; the zero cells left out add nothing to any of
+    * their sums.
+    */
+  private def cells(x: Partition, y: Partition): Vector[(Int, Int, Int)] = {
+    val col = y.iterator.zipWithIndex.flatMap { case (yj, j) => yj.iterator.map(_ -> j) }.toMap
+    x.iterator.zipWithIndex.flatMap { case (xi, i) =>
+      xi.toVector.flatMap(col.get).groupBy(identity).toVector
+        .map { case (j, js) => (i, j, js.size) }.sortBy(_._2)
+    }.toVector
+  }
+
   /** ACC (Eq. 2–3): greedily match each predicted cluster to a distinct
     * ground-truth cluster by intersection size (largest first); a record
     * counts as correct if it lies in its cluster's matched truth cluster.
@@ -22,30 +36,27 @@ object Metrics {
   def acc(x: Partition, y: Partition): Double = {
     val n = total(x)
     if (n == 0) return 0.0
-    val pairs = for {
-      (xi, i) <- x.zipWithIndex
-      (yj, j) <- y.zipWithIndex
-      inter = xi.intersect(yj).size if inter > 0
-    } yield (inter, i, j)
     val usedX = scala.collection.mutable.Set.empty[Int]
     val usedY = scala.collection.mutable.Set.empty[Int]
     var correct = 0L
-    // Stable deterministic order: intersection desc, then indices.
-    pairs.sortBy { case (inter, i, j) => (-inter, i, j) }.foreach {
-      case (inter, i, j) =>
-        if (!usedX(i) && !usedY(j)) { usedX += i; usedY += j; correct += inter }
+    // Stable deterministic order: intersection desc, then indices (the
+    // cells come in index order and the sort is stable).
+    cells(x, y).sortBy(-_._3).foreach { case (i, j, inter) =>
+      if (!usedX(i) && !usedY(j)) { usedX += i; usedY += j; correct += inter }
     }
     correct.toDouble / n
   }
 
-  private def overlap(a: Set[Long], b: Set[Long]): Double =
-    if (a.isEmpty) 0.0 else a.intersect(b).size.toDouble / a.size
-
-  /** Purity (Eq. 4). */
+  /** Purity (Eq. 4). A cluster's best overlap max_j |xᵢ ∩ yⱼ| / |xᵢ| is
+    * its largest intersection divided once by |xᵢ|.
+    */
   def purity(x: Partition, y: Partition): Double = {
     val n = total(x).toDouble
     if (n == 0) return 0.0
-    x.map(xi => xi.size / n * y.map(overlap(xi, _)).maxOption.getOrElse(0.0)).sum
+    val best = cells(x, y).groupMapReduce(_._1)(_._3)(math.max)
+    x.zipWithIndex.map { case (xi, i) =>
+      xi.size / n * (if (xi.isEmpty) 0.0 else best.getOrElse(i, 0).toDouble / xi.size)
+    }.sum
   }
 
   /** Inverse purity (Eq. 5). */
@@ -65,10 +76,11 @@ object Metrics {
       -p.map(_.size / n).filter(_ > 0).map(q => q * math.log(q)).sum
     val hx = h(x); val hy = h(y)
     if (hx == 0 && hy == 0) return 1.0
+    val xs = x.toIndexedSeq; val ys = y.toIndexedSeq
     var mi = 0.0
-    for (xi <- x; yj <- y) {
-      val pij = xi.intersect(yj).size / n
-      if (pij > 0) mi += pij * math.log(pij / ((xi.size / n) * (yj.size / n)))
+    for ((i, j, inter) <- cells(x, y)) {
+      val pij = inter / n
+      mi += pij * math.log(pij / ((xs(i).size / n) * (ys(j).size / n)))
     }
     if (hx + hy == 0) 0.0 else 2 * mi / (hx + hy)
   }
@@ -77,7 +89,7 @@ object Metrics {
   def ari(x: Partition, y: Partition): Double = {
     val n = total(x)
     def c2(m: Long): Double = m * (m - 1) / 2.0
-    val sumT  = (for (xi <- x; yj <- y) yield c2(xi.intersect(yj).size.toLong)).sum
+    val sumT  = cells(x, y).map(c => c2(c._3.toLong)).sum
     val sumA  = x.map(xi => c2(xi.size.toLong)).sum
     val sumB  = y.map(yj => c2(yj.size.toLong)).sum
     val nC2   = c2(n)

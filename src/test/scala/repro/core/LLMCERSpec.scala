@@ -113,4 +113,16 @@ class LLMCERSpec extends SparkSpec {
       0.6395404792278948, 0.34536946097405974, 0.0177639, 0.106306, 4.114366666666666, 137,
       Vector(55, 24, 16, 17, 12, 13), 1))
   }
+
+  test("LLM-CER with LSH blocking on a Cora mini profile reproduces its recorded ResultRow") {
+    // Pinned output: LSH candidates, capped components over the edges at
+    // or above the tuned threshold, and the per-block resolution of the
+    // 44 blocks. A change to LSH banding or its cosine arithmetic moves
+    // this row; a change that alters outputs on purpose updates it.
+    val row = Harness.run(spark, DatasetProfile.mini(DatasetProfile.cora, 300), Harness.MCer,
+                          Blocking.LSH)
+    assert(row == ResultRow("Cora-300", "LLM-CER", 0.7166666666666667, 0.8329208250166331,
+      0.8535471501706648, 0.6310374362555837, 0.0068145, 0.041026, 1.6425333333333334, 66,
+      Vector(50, 14, 2), 44))
+  }
 }

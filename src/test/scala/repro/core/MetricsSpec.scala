@@ -150,4 +150,42 @@ class MetricsSpec extends AnyFunSuite with PropSupport {
         math.abs(Metrics.ari(x, y) - Metrics.ari(y, x)) < 1e-9
     })
   }
+
+  /** Two partitions over id universes that may differ or be empty: each
+    * id of 1..n lands in x, in y, or in both, and a side may hold an
+    * empty cluster.
+    */
+  private val looseGen: Gen[(Metrics.Partition, Metrics.Partition)] = for {
+    n     <- Gen.choose(0, 30)
+    kx    <- Gen.choose(1, 8)
+    ky    <- Gen.choose(1, 8)
+    sides <- Gen.listOfN(n, Gen.frequency(4 -> 3, 1 -> 1, 1 -> 2, 1 -> 0))
+    xs    <- Gen.listOfN(n, Gen.choose(0, kx - 1))
+    ys    <- Gen.listOfN(n, Gen.choose(0, ky - 1))
+    xEmpty <- Gen.frequency(5 -> false, 1 -> true)
+    yEmpty <- Gen.frequency(5 -> false, 1 -> true)
+  } yield {
+    // side bit 1: the id is in x; bit 2: in y.
+    def part(bit: Int, ls: List[Int], withEmpty: Boolean): Metrics.Partition = {
+      val in = (1L to n.toLong).zip(ls).zip(sides).collect { case ((id, c), s) if (s & bit) != 0 => (id, c) }
+      in.groupBy(_._2).toVector.sortBy(_._1).map(_._2.map(_._1).toSet) ++
+        (if (withEmpty) Vector(Set.empty[Long]) else Vector.empty)
+    }
+    (part(1, xs, xEmpty), part(2, ys, yEmpty))
+  }
+
+  private def same(a: Double, b: Double): Boolean =
+    java.lang.Double.doubleToLongBits(a) == java.lang.Double.doubleToLongBits(b)
+
+  test("property: ACC, purity, inverse purity, FP, NMI and ARI equal the reference bit for bit") {
+    val gen = Gen.frequency(1 -> partitionGen, 2 -> looseGen)
+    checkProp(Prop.forAllNoShrink(gen) { case (x, y) =>
+      same(Metrics.acc(x, y), MetricsReference.acc(x, y)) &&
+        same(Metrics.purity(x, y), MetricsReference.purity(x, y)) &&
+        same(Metrics.inversePurity(x, y), MetricsReference.inversePurity(x, y)) &&
+        same(Metrics.fpMeasure(x, y), MetricsReference.fpMeasure(x, y)) &&
+        same(Metrics.nmi(x, y), MetricsReference.nmi(x, y)) &&
+        same(Metrics.ari(x, y), MetricsReference.ari(x, y))
+    }, minTests = 1000)
+  }
 }
