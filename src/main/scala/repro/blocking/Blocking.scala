@@ -8,9 +8,10 @@ import repro.embed.Embed
 /** Filtering / blocking strategies of §5.1, as Spark dataflow.
   *
   * Each strategy produces scored candidate record pairs in Spark (the
-  * data-heavy part): LSH scores each pair inside its bucket task, while
-  * Filter and Canopy self-join on tokens and join the pairs back to
-  * their texts. Pairs below a similarity threshold are pruned, and
+  * data-heavy part) in one shuffle: each record goes to a few buckets
+  * (LSH band signatures, or prefix tokens for Filter and Canopy), and a
+  * bucket task pairs its members and scores each pair with the data it
+  * already holds. Pairs below a similarity threshold are pruned, and
   * blocks are the connected components of the surviving edges
   * (transitive block merging). Components are computed with a
   * driver-side union-find over the collected edge list — edge lists are
@@ -80,65 +81,105 @@ object Blocking {
     k
   }
 
-  /** Candidate pairs via prefix-filtered token similarity join (the
-    * positional-filtering flavour of §5.1), scored with token Jaccard.
+  /** Candidate pairs via a prefix-filtering token similarity join
+    * [Bayardo et al. 2007], scored with token Jaccard: two records are
+    * candidates when they share a token in their prefixes. A record's
+    * prefix is the first `n - ceil(bt*n) + 1` of its `n` distinct tokens
+    * in the global (document frequency, token) order, so no pair with
+    * Jaccard >= bt is missed.
     */
   def filterCandidates(spark: SparkSession, ds: Dataset[Record], bt: Double): DataFrame = {
     import spark.implicits._
-    val toks = ds.flatMap(r => Embed.tokens(r.text).distinct.map(t => (r.id, t)))
-      .toDF("id", "tok")
-    // Global token frequency — rare tokens first gives small prefixes.
-    val freq = toks.groupBy("tok").agg(count(lit(1)).as("df"))
-    val ranked = toks.join(freq, "tok")
-      .withColumn("rank", row_number().over(
-        org.apache.spark.sql.expressions.Window.partitionBy("id").orderBy(col("df"), col("tok"))))
-    val sizes = toks.groupBy("id").agg(count(lit(1)).as("ntok"))
-    // Prefix size |x| - ceil(bt*|x|) + 1 guarantees no Jaccard>=bt pair is missed.
-    val prefix = ranked.join(sizes, "id")
-      .where(col("rank") <= col("ntok") - ceil(lit(bt) * col("ntok")) + 1)
-      .select("id", "tok")
-    val a = prefix.as("a"); val b = prefix.as("b")
-    val cand = a.join(b, col("a.tok") === col("b.tok") && col("a.id") < col("b.id"))
-      .select(col("a.id").as("id_a"), col("b.id").as("id_b")).distinct()
-    val texts = ds.map(r => (r.id, r.text)).toDF("tid", "text")
-    val jacUdf = udf { (x: String, y: String) => Embed.jaccard(x, y) }
-    cand
-      .join(texts, col("id_a") === col("tid")).withColumnRenamed("text", "text_a").drop("tid")
-      .join(texts, col("id_b") === col("tid")).withColumnRenamed("text", "text_b").drop("tid")
-      .withColumn("sim", jacUdf(col("text_a"), col("text_b")))
-      .select("id_a", "id_b", "sim")
+    // The key is the whole token set, so the key and full scores are equal.
+    val sets = ds.map { r => val toks = Embed.tokens(r.text).distinct; (r.id, toks, toks) }
+    prefixJoin(spark, sets, bt).toDF("id_a", "id_b", "sim", "full").drop("full")
   }
 
   /** Canopy blocking [McCallum et al.]: a cheap first-attribute token
     * overlap forms canopies (loose threshold ms) and tight blocks
     * (bs >= ms); within canopies a refined all-attribute Jaccard decides
-    * matches which then merge blocks transitively.
+    * matches which then merge blocks transitively. Canopy members are
+    * found with the prefix join at `ms`, which finds every pair whose
+    * cheap Jaccard is at least `ms`.
     */
   def canopyCandidates(spark: SparkSession, ds: Dataset[Record],
                        bs: Double, ms: Double): DataFrame = {
     import spark.implicits._
     require(bs >= ms, s"canopy needs bs >= ms, got $bs < $ms")
-    // Cheap metric: Jaccard over the first attribute's tokens only.
-    val firstAttr = ds.map { r =>
-      val first = r.text.split('|').head
-      (r.id, Embed.tokens(first).distinct, r.text)
-    }.toDF("id", "toks", "text")
-    val expl = firstAttr.select(col("id"), explode(col("toks")).as("tok"))
-    val a = expl.as("a"); val b = expl.as("b")
-    val cand = a.join(b, col("a.tok") === col("b.tok") && col("a.id") < col("b.id"))
-      .select(col("a.id").as("id_a"), col("b.id").as("id_b")).distinct()
-    val jacUdf  = udf { (x: Seq[String], y: Seq[String]) => Embed.jaccard(x.toSet, y.toSet) }
-    val fullJac = udf { (x: String, y: String) => Embed.jaccard(x, y) }
-    val scored = cand
-      .join(firstAttr.select(col("id").as("ia"), col("toks").as("toks_a"), col("text").as("text_a")), col("id_a") === col("ia"))
-      .join(firstAttr.select(col("id").as("ib"), col("toks").as("toks_b"), col("text").as("text_b")), col("id_b") === col("ib"))
-      .withColumn("cheap", jacUdf(col("toks_a"), col("toks_b")))
+    // Cheap metric: Jaccard over the first attribute's tokens only;
+    // refined: over the whole text's.
+    val sets = ds.map { r =>
+      (r.id, Embed.tokens(r.text.takeWhile(_ != '|')).distinct, Embed.tokens(r.text).distinct)
+    }
+    prefixJoin(spark, sets, ms).toDF("id_a", "id_b", "cheap", "refined")
       .where(col("cheap") > ms) // canopy membership
-      .withColumn("refined", fullJac(col("text_a"), col("text_b")))
       // An edge if tight-cheap OR refined match within the canopy.
       .withColumn("sim", greatest(col("cheap"), col("refined")))
       .select("id_a", "id_b", "sim", "cheap")
-    scored
+  }
+
+  /** Prefix-filtering set-similarity self-join, as one shuffle [Vernica,
+    * Carey & Li 2010]. `sets` holds each record's id, its key tokens and
+    * its full tokens, each distinct, with the key tokens a subset of the
+    * full ones. Tokens are ranked once by (document frequency over the
+    * full tokens, token), a total order whatever the partitioning. Each record takes the first `n - ceil(t*n) + 1`
+    * of its `n` ranked key tokens as its prefix and is sent to one bucket
+    * per prefix token. A bucket task pairs its members with
+    * `id_a < id_b` and keeps a pair only in the bucket of the first
+    * prefix token the two share, so every pair sharing a prefix token
+    * comes out exactly once, with the Jaccard of its key sets and of its
+    * full sets. Pairs leave the task through a lazy iterator.
+    */
+  private def prefixJoin(spark: SparkSession, sets: Dataset[(Long, Vector[String], Vector[String])],
+                         t: Double): Dataset[(Long, Long, Double, Double)] = {
+    import spark.implicits._
+    // Document frequencies, counted per partition and summed on the driver.
+    val dfs = sets.mapPartitions { it =>
+      val c = scala.collection.mutable.HashMap.empty[String, Long]
+      it.foreach(_._3.foreach(tok => c(tok) = c.getOrElse(tok, 0L) + 1))
+      c.iterator
+    }.collect().groupMapReduce(_._1)(_._2)(_ + _)
+    // Global token order — rare tokens first gives small prefixes.
+    val rank = dfs.toArray.sortBy { case (tok, df) => (df, tok) }.iterator.map(_._1).zipWithIndex.toMap
+    val bc = spark.sparkContext.broadcast(rank)
+    val members = sets.flatMap { case (id, key, full) =>
+      val r = bc.value
+      val k = key.map(r).toArray.sorted
+      val n = k.length
+      // Prefix size |x| - ceil(t*|x|) + 1 guarantees no Jaccard>=t pair is missed.
+      val p = math.max(0L, math.min(n.toLong, n - math.ceil(t * n).toLong + 1)).toInt
+      val f = full.map(r).toArray.sorted
+      Iterator.range(0, p).map(i => (k(i), id, k, f))
+    }
+    members.groupByKey(_._1).flatMapGroups { (tok, it) =>
+      val ms = it.toArray.sortBy(_._2)
+      for {
+        i <- Iterator.range(0, ms.length)
+        j <- Iterator.range(i + 1, ms.length)
+        if firstShared(ms(i)._3, ms(j)._3) == tok
+      } yield (ms(i)._2, ms(j)._2, jaccard(ms(i)._3, ms(j)._3), jaccard(ms(i)._4, ms(j)._4))
+    }
+  }
+
+  /** The smallest value in both sorted `a` and sorted `b`; the caller
+    * knows there is one. When the two share a prefix token, it is their
+    * first shared prefix token, since prefixes are the smallest ranks.
+    */
+  private def firstShared(a: Array[Int], b: Array[Int]): Int = {
+    var i = 0; var j = 0
+    while (a(i) != b(j)) { if (a(i) < b(j)) i += 1 else j += 1 }
+    a(i)
+  }
+
+  /** `Embed.jaccard` of two non-empty sets given as sorted distinct arrays. */
+  private def jaccard(a: Array[Int], b: Array[Int]): Double = {
+    var i = 0; var j = 0; var inter = 0
+    while (i < a.length && j < b.length) {
+      if (a(i) == b(j)) { inter += 1; i += 1; j += 1 }
+      else if (a(i) < b(j)) i += 1
+      else j += 1
+    }
+    inter.toDouble / (a.length + b.length - inter)
   }
 
   /** Default cap on block size: transitive closure over low-threshold
@@ -154,9 +195,6 @@ object Blocking {
     * links. Returns recordId -> blockId (unmatched records get their own
     * singleton block).
     */
-  def components(allIds: Seq[Long], edges: Seq[(Long, Long)]): Map[Long, Long] =
-    componentsCapped(allIds, edges.map { case (a, b) => (a, b, 1.0) }, Int.MaxValue)
-
   def componentsCapped(allIds: Seq[Long], edges: Seq[(Long, Long, Double)],
                        cap: Int = MaxBlockSize): Map[Long, Long] = {
     val uf   = new UnionFind(allIds)

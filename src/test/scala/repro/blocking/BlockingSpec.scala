@@ -79,21 +79,30 @@ class BlockingSpec extends SparkSpec with PropSupport {
     assert(c.count() > 0)
   }
 
-  test("components forms connected components with singleton fallback") {
-    val comp = Blocking.components(Seq(1L, 2L, 3L, 4L, 5L), Seq((1L, 2L), (2L, 3L)))
+  test("componentsCapped forms connected components with singleton fallback") {
+    val comp = Blocking.componentsCapped(Seq(1L, 2L, 3L, 4L, 5L), Seq((1L, 2L, 1.0), (2L, 3L, 1.0)),
+                                         cap = Int.MaxValue)
     assert(comp(1L) == comp(2L) && comp(2L) == comp(3L))
     assert(comp(4L) != comp(1L) && comp(4L) != comp(5L))
   }
-  test("components uses the smallest member id as block id") {
-    val comp = Blocking.components(Seq(7L, 3L, 9L), Seq((7L, 9L)))
+  test("componentsCapped uses the smallest member id as block id") {
+    val comp = Blocking.componentsCapped(Seq(7L, 3L, 9L), Seq((7L, 9L, 1.0)), cap = Int.MaxValue)
     assert(comp(7L) == 7L && comp(9L) == 7L && comp(3L) == 3L)
   }
 
+  /** Texts with no token, no first attribute, or repeated tokens. */
+  private lazy val oddTexts = {
+    import spark.implicits._
+    Seq("", "!!! ---", "|", "| tail only", "alpha alpha beta", "beta alpha alpha", "alpha | beta beta", "gamma")
+      .zipWithIndex.map { case (t, i) => Record(i.toLong, i.toLong, t, Embed.embed(t)) }.toDS()
+  }
+
   test("block covers every record exactly once for each strategy") {
-    for (strategy <- Seq(Blocking.LSH, Blocking.NoBlocking)) {
-      val blocks = Blocking.block(spark, ds, strategy, bt = 0.5).collect()
-      assert(blocks.length == mini.numRecords, strategy.name)
-      assert(blocks.map(_.getLong(0)).distinct.length == mini.numRecords, strategy.name)
+    for ((data, n) <- Seq(ds -> mini.numRecords, oddTexts -> 8);
+         strategy <- Seq(Blocking.LSH, Blocking.Filter, Blocking.Canopy, Blocking.NoBlocking)) {
+      val blocks = Blocking.block(spark, data, strategy, bt = 0.5).collect()
+      assert(blocks.length == n, strategy.name)
+      assert(blocks.map(_.getLong(0)).distinct.length == n, strategy.name)
     }
   }
   test("NoBlocking puts everything in one block") {
