@@ -171,8 +171,11 @@ object Blocking {
     a(i)
   }
 
-  /** `Embed.jaccard` of two non-empty sets given as sorted distinct arrays. */
-  private def jaccard(a: Array[Int], b: Array[Int]): Double = {
+  /** `Embed.jaccard` of two sets given as sorted distinct arrays: the same
+    * arithmetic, and 1 for two empty sets.
+    */
+  private[repro] def jaccard(a: Array[Int], b: Array[Int]): Double = {
+    if (a.length == 0 && b.length == 0) return 1.0
     var i = 0; var j = 0; var inter = 0
     while (i < a.length && j < b.length) {
       if (a(i) == b(j)) { inter += 1; i += 1; j += 1 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.{ExecutionException, ForkJoinPool, FutureTask}
+
 /** Local k-means + elbow, used by NRS (Algorithm 1, lines 9–10) for its
   * preliminary diversity assessment of a block's remaining records.
   *
@@ -8,7 +10,12 @@ package repro.core
   * hold at most `Blocking.MaxBlockSize` records, but `NoBlocking` makes
   * the whole dataset one block (1,290 records on Cora, so 144 elbow
   * searches over up to 1,290 records). The vectors are therefore copied
-  * once into one flat `n × dim` float array and every loop is primitive.
+  * once into one flat `n × dim` float array and every loop is primitive,
+  * and the elbow's per-k runs (Lloyd + cohesion for k = 2..cap) execute
+  * on the JVM's common fork-join pool, shared by all of the executor's
+  * tasks. Each run only reads the shared points and seeds, and the runs
+  * are combined in k order, so the chosen k and clustering are those of
+  * running them one after another.
   *
   * The arithmetic order is part of the determinism contract: a change to
   * it changes which records NRS groups, and so every downstream output.
@@ -39,18 +46,39 @@ object KMeans {
     val cap = math.min(maxK, pts.n)
     // Seeding for k is a prefix of the seeding for cap.
     val seeds = farthestPointSeeds(pts, math.max(cap, 1), seed)
+    // The runs for k = 2..cap only read `pts` and `seeds`; they are
+    // submitted largest k first, the longest, and read back in k order.
+    val runs = parallel((cap to 2 by -1).map { k => () =>
+      val assign = lloyd(pts, seeds, k)
+      (assign, cohesion(pts, assign, k))
+    }).reverse
     var best = 1
     var bestAssign = new Array[Int](pts.n)
     var prev = cohesion(pts, bestAssign, 1)
     var k = 1
     while (k < cap) {
       k += 1
-      val assign = lloyd(pts, seeds, k)
-      val coh = cohesion(pts, assign, k)
+      val (assign, coh) = runs(k - 2)
       if (coh - prev > 0.02) { best = k; bestAssign = assign }
       prev = coh
     }
     Elbow(best, groups(pts, bestAssign, best))
+  }
+
+  /** Runs `jobs` on the JVM's common fork-join pool, submitted in the
+    * order given, and returns their results in that order. The pool is
+    * shared by all of the executor's tasks, so the caller does not wait on
+    * a queued job: it runs, last first, every job no pool thread has
+    * started. A job's exception is rethrown as it was thrown.
+    */
+  private[core] def parallel[A](jobs: IndexedSeq[() => A]): IndexedSeq[A] = {
+    val tasks = jobs.map(job => new FutureTask[A](() => job()))
+    tasks.foreach(ForkJoinPool.commonPool().execute(_))
+    tasks.reverseIterator.foreach(_.run())
+    tasks.map { t =>
+      try t.get()
+      catch { case e: ExecutionException => throw e.getCause }
+    }
   }
 
   /** Lloyd's algorithm with k = min(k, n) on L2-normalised vectors,

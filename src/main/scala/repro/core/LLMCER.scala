@@ -42,14 +42,18 @@ object LLMCER {
   }
 
   /** The strategy's similarity over records of `sample`: cosine for LSH,
-    * token Jaccard otherwise, with each record tokenized once.
+    * token Jaccard otherwise, with each record's distinct tokens interned
+    * once as a sorted array of ids.
     */
   private def simOf(strategy: Blocking.Strategy, sample: Vector[Record]): (Record, Record) => Double =
     strategy match {
       case Blocking.LSH => (a, b) => a.cos(b)
       case _ =>
-        val toks = sample.iterator.map(r => r.id -> Embed.tokens(r.text).toSet).toMap
-        (a, b) => Embed.jaccard(toks(a.id), toks(b.id))
+        val ids  = scala.collection.mutable.HashMap.empty[String, Int]
+        val toks = sample.iterator.map { r =>
+          r.id -> Embed.tokens(r.text).distinct.map(t => ids.getOrElseUpdate(t, ids.size)).sorted.toArray
+        }.toMap
+        (a, b) => Blocking.jaccard(toks(a.id), toks(b.id))
     }
 
   /** MDG coherence floor: the 5th percentile of same-entity pair

@@ -114,6 +114,16 @@ class LLMCERSpec extends SparkSpec {
       Vector(55, 24, 16, 17, 12, 13), 1))
   }
 
+  test("LLM-CER without blocking on full Cora reproduces its recorded ResultRow") {
+    // Pinned output: the whole 1,290-record dataset is one block, so NRS's
+    // elbow searches and fill steps run over up to 1,290 records per set.
+    // It guards the large-block path, which the mini profiles do not reach.
+    val row = Harness.run(spark, DatasetProfile.cora, Harness.MCer, Blocking.NoBlocking)
+    assert(row == ResultRow("Cora", "LLM-CER", 0.4573643410852713, 0.5866173315189414,
+      0.7528661500733214, 0.3364220656471951, 0.07118624999999999, 0.425435, 16.1395, 470,
+      Vector(240, 86, 52, 30, 31, 31), 1))
+  }
+
   test("LLM-CER with LSH blocking on a Cora mini profile reproduces its recorded ResultRow") {
     // Pinned output: LSH candidates, capped components over the edges at
     // or above the tuned threshold, and the per-block resolution of the

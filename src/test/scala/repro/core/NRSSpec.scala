@@ -1,9 +1,11 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropSupport
 import repro.data.{DatasetProfile, ERGen}
 
-class NRSSpec extends AnyFunSuite {
+class NRSSpec extends AnyFunSuite with PropSupport {
 
   private val recs = ERGen.recordsLocal(DatasetProfile.mini(DatasetProfile.citeseer, 200))
   private val p    = ERParams()
@@ -64,5 +66,30 @@ class NRSSpec extends AnyFunSuite {
     val (set, _) = NRS.nextSet(block, p)
     val sv = Metrics.variation(set.groupBy(_.entityId).values.map(_.size).toSeq)
     assert(sv < 1.0, s"set variation unexpectedly high: $sv")
+  }
+
+  private def ids(sets: Vector[Vector[Record]]): Vector[Vector[Long]] = sets.map(_.map(_.id))
+
+  test("allSets equals the reference on random blocks with duplicate vectors and ties") {
+    val blocks = Gen.frequency(1 -> Gen.choose(0, 12), 4 -> Gen.choose(13, 60))
+      .flatMap(KMeansSpec.records)
+    val params = for {
+      ss   <- Gen.choose(2, 12)
+      sd   <- Gen.choose(1, 6)
+      seed <- Gen.long
+    } yield ERParams(setSize = ss, setDiversity = sd, seed = seed)
+    val prop = Prop.forAllNoShrink(blocks, params) { (block, p) =>
+      val got  = ids(NRS.allSets(block, p))
+      val want = ids(NRSReference.allSets(block, p))
+      Prop(got == want) :| s"$p: $got vs reference $want"
+    }
+    checkProp(prop, minTests = 200)
+  }
+
+  test("allSets equals the reference on the full 1,290-record Cora block") {
+    // `NoBlocking` resolves the whole dataset as this one block, sorted by id.
+    val block = ERGen.recordsLocal(DatasetProfile.cora).sortBy(_.id)
+    assert(block.size == 1290)
+    assert(ids(NRS.allSets(block, p)) == ids(NRSReference.allSets(block, p)))
   }
 }

@@ -77,4 +77,24 @@ class EmbedSpec extends AnyFunSuite with PropSupport {
       j >= 0 && j <= 1 && math.abs(j - Embed.jaccard(b, a)) < 1e-12
     })
   }
+
+  test("property: Jaccard on interned sorted token ids equals Embed.jaccard bit for bit") {
+    // A small vocabulary with case variants makes repeated and shared
+    // tokens likely; the empty and punctuation-only texts have no tokens.
+    val word = Gen.oneOf("a", "A", "ab", "x1", "zz", "ZZ", "42", "the")
+    val sep  = Gen.oneOf(" ", ", ", "-", "  ")
+    val text = Gen.frequency(
+      1 -> Gen.oneOf("", "  ", "—!?"),
+      6 -> Gen.listOf(Gen.zip(word, sep)).map(_.map { case (w, s) => w + s }.mkString))
+    val prop = Prop.forAll(text, text) { (a, b) =>
+      val ids = scala.collection.mutable.HashMap.empty[String, Int]
+      def interned(t: String): Array[Int] =
+        Embed.tokens(t).distinct.map(w => ids.getOrElseUpdate(w, ids.size)).sorted.toArray
+      val got  = repro.blocking.Blocking.jaccard(interned(a), interned(b))
+      val want = Embed.jaccard(Embed.tokens(a).toSet, Embed.tokens(b).toSet)
+      Prop(java.lang.Double.doubleToRawLongBits(got) == java.lang.Double.doubleToRawLongBits(want)) :|
+        s"$got vs $want"
+    }
+    checkProp(prop, minTests = 500)
+  }
 }
