@@ -216,9 +216,9 @@ object Blocking {
     allIds.map(id => id -> rootMin(uf.find(id))).toMap
   }
 
-  /** End-to-end blocking: Dataset[Record] -> DataFrame(id, block_id). */
+  /** End-to-end blocking: record id -> block id (smallest member id; NoBlocking: 0). */
   def block(spark: SparkSession, ds: Dataset[Record], strategy: Strategy,
-            bt: Double): DataFrame = {
+            bt: Double): Map[Long, Long] = {
     import spark.implicits._
     val ids = ds.map(_.id).collect().toSeq
     val edges: Seq[(Long, Long, Double)] = strategy match {
@@ -234,11 +234,10 @@ object Blocking {
           .where(col("cheap") >= math.min(0.95, bt + 0.15) || col("sim") >= bt)
           .select("id_a", "id_b", "sim").as[(Long, Long, Double)].collect().toSeq
     }
-    val assignment = strategy match {
+    strategy match {
       case NoBlocking => ids.map(_ -> 0L).toMap
       case _          => componentsCapped(ids, edges)
     }
-    spark.createDataset(assignment.toSeq).toDF("id", "block_id")
   }
 
   /** Tune the similarity threshold bt on a labeled validation sample

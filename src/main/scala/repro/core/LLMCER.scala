@@ -15,11 +15,11 @@ final case class ERResult(
 /** The LLM-CER Spark driver (Algorithm 4 at dataset scale), plus the
   * generic per-block execution harness shared with every baseline.
   *
-  * Dataflow: blocking produces (id, block_id); records are co-grouped
-  * by block with `groupByKey(...).mapGroups`, each group resolved by a
-  * per-block function running in the executor task (the "LLM-based
-  * clustering UDF per partition"); assignments and telemetry shuffle
-  * back and are merged into the final partition.
+  * Dataflow: blocking produces a record id -> block id map, which is
+  * broadcast; one `groupByKey(lookup).mapGroups` shuffle groups records
+  * by block, each group resolved by a per-block function running in the
+  * executor task (the "LLM-based clustering UDF per partition"); outcomes
+  * are collected and merged in block-id order, whatever the shuffle layout.
   */
 object LLMCER {
 
@@ -37,9 +37,12 @@ object LLMCER {
 
   /** Tune the blocking threshold on a labeled sample (§5.1). */
   def tunedThreshold(ds: Dataset[Record], strategy: Blocking.Strategy): Double = {
-    val sample = ds.sort("id").limit(600).collect().toVector
+    val sample = validationSample(ds)
     Blocking.tuneThreshold(sample, simOf(strategy, sample))
   }
+
+  /** The labeled validation sample both tunings read: the 600 smallest ids. */
+  private def validationSample(ds: Dataset[Record]) = ds.sort("id").limit(600).collect().toVector
 
   /** The strategy's similarity over records of `sample`: cosine for LSH,
     * token Jaccard otherwise, with each record's distinct tokens interned
@@ -62,7 +65,7 @@ object LLMCER {
     * most ~5% of genuinely-same-entity placements.
     */
   def tunedFloor(ds: Dataset[Record], strategy: Blocking.Strategy): Double = {
-    val sample = ds.sort("id").limit(600).collect().toVector
+    val sample = validationSample(ds)
     val sim = simOf(strategy, sample)
     val sameSims = (for {
       i <- sample.indices; j <- i + 1 until sample.size
@@ -77,23 +80,18 @@ object LLMCER {
               fn: BlockFn, btOverride: Option[Double] = None): ERResult = {
     import spark.implicits._
     val bt = btOverride.getOrElse(tunedThreshold(ds, strategy))
-    val blocks = Blocking.block(spark, ds, strategy, bt)
-      .toDF("rid", "block_id").as[(Long, Long)]
-
-    val withBlock: Dataset[(Record, Long)] =
-      ds.joinWith(blocks, ds("id") === blocks("rid"))
-        .map { case (r, (_, bid)) => (r, bid) }
-
-    val outcomes = withBlock
-      .groupByKey(_._2)
+    val blockOf = spark.sparkContext.broadcast(Blocking.block(spark, ds, strategy, bt))
+    val outcomes = ds
+      .groupByKey(r => blockOf.value(r.id))
       .mapGroups { (bid, iter) =>
-        val recs = iter.map(_._1).toVector.sortBy(_.id)
+        val recs = iter.toVector.sortBy(_.id)
         val res  = fn(bid, recs)
         val (ids, cls) = res.assignment.toSeq.sortBy(_._1).unzip
         Outcome(bid, ids, cls, res.usage.apiCalls, res.usage.inputTokens,
                 res.usage.outputTokens, res.usage.latencyMs, res.setsPerLevel)
       }
       .collect()
+      .sortBy(_.block_id)
       .toVector
 
     val partition = outcomes.flatMap { o =>

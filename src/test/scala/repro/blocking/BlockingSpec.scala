@@ -100,14 +100,14 @@ class BlockingSpec extends SparkSpec with PropSupport {
   test("block covers every record exactly once for each strategy") {
     for ((data, n) <- Seq(ds -> mini.numRecords, oddTexts -> 8);
          strategy <- Seq(Blocking.LSH, Blocking.Filter, Blocking.Canopy, Blocking.NoBlocking)) {
-      val blocks = Blocking.block(spark, data, strategy, bt = 0.5).collect()
-      assert(blocks.length == n, strategy.name)
-      assert(blocks.map(_.getLong(0)).distinct.length == n, strategy.name)
+      val blocks = Blocking.block(spark, data, strategy, bt = 0.5)
+      assert(blocks.size == n, strategy.name)
+      assert(blocks.keySet == data.collect().map(_.id).toSet, strategy.name)
     }
   }
   test("NoBlocking puts everything in one block") {
     val blocks = Blocking.block(spark, ds, Blocking.NoBlocking, 0.5)
-    assert(blocks.select("block_id").distinct().count() == 1)
+    assert(blocks.values.toSet.size == 1)
   }
 
   test("tuneThreshold returns a threshold in (0,1) maximising pair F1") {

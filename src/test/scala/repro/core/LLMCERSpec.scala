@@ -70,6 +70,26 @@ class LLMCERSpec extends SparkSpec {
     assert(withMdg.apiCalls >= without.apiCalls)
   }
 
+  test("runWith gives the same ERResult at any input and shuffle partitioning") {
+    // The blocks reach the driver in an order that depends on the shuffle
+    // layout; the merge must not let that order into the result.
+    val ds   = repro.data.ERGen.records(spark, DatasetProfile.mini(DatasetProfile.as, 400)).cache()
+    val conf = spark.conf
+    val keys = Seq("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+    val saved = keys.map(k => k -> conf.getOption(k))
+    try {
+      conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
+      val results = Seq(1, 7, 64).map { n =>
+        conf.set("spark.sql.shuffle.partitions", n.toString)
+        runCer(ds.repartition(n))
+      }
+      assert(results.forall(_ == results.head))
+    } finally {
+      saved.foreach { case (k, v) => v.fold(conf.unset(k))(conf.set(k, _)) }
+      ds.unpersist()
+    }
+  }
+
   test("tunedThreshold lies in the sweep range for every strategy") {
     val ds = repro.data.ERGen.records(spark, mini).cache()
     for (s <- Seq(Blocking.LSH, Blocking.Filter)) {
