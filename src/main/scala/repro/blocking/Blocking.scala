@@ -1,17 +1,20 @@
 package repro.blocking
 
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
+import scala.reflect.ClassTag
 import repro.core.{Record, UnionFind}
 import repro.embed.Embed
 
 /** Filtering / blocking strategies of §5.1, as Spark dataflow.
   *
   * Each strategy produces scored candidate record pairs in Spark (the
-  * data-heavy part) in one shuffle: each record goes to a few buckets
-  * (LSH band signatures, or prefix tokens for Filter and Canopy), and a
-  * bucket task pairs its members and scores each pair with the data it
-  * already holds. Pairs below a similarity threshold are pruned, and
+  * data-heavy part) in one RDD shuffle into one partition per core: each
+  * record goes to a few buckets (LSH band signatures, or prefix tokens
+  * for Filter and Canopy), and a bucket task pairs its members and scores
+  * each pair with the data it already holds. Pairs below a similarity
+  * threshold are pruned in that task, and
   * blocks are the connected components of the surviving edges
   * (transitive block merging). Components are computed with a
   * driver-side union-find over the collected edge list — edge lists are
@@ -28,18 +31,22 @@ object Blocking {
   /** Candidate pairs (id_a < id_b) with cosine similarity, via
     * random-hyperplane LSH banding over the record embeddings: two
     * records are candidates when all `bits` signs of some band agree.
-    *
-    * One shuffle: each record computes its `bands` signatures once and
-    * is sent, with its vector, to the bucket (band, signature) of each
-    * band. A bucket task pairs its members and keeps a pair only in the
-    * first band where the two signatures agree, so every candidate comes
-    * out exactly once, and scores it with `Embed.cosine` on the vectors
-    * it already holds. Pairs leave the task through a lazy iterator;
-    * the task holds only its bucket's members.
     */
   def lshCandidates(spark: SparkSession, ds: Dataset[Record],
                     bands: Int = 8, bits: Int = 8, seed: Long = 7L): DataFrame = {
     import spark.implicits._
+    lshPairs(spark, ds, bands, bits, seed)(_ => true).toDF("id_a", "id_b", "sim")
+  }
+
+  /** The LSH candidates whose cosine passes `keep`, as one bucket shuffle:
+    * each record computes its `bands` signatures once and is sent, with
+    * its vector, to the bucket (band, signature) of each band. A bucket
+    * task pairs its members and keeps a pair only in the first band where
+    * the two signatures agree, so every candidate comes out exactly once,
+    * and scores it with `Embed.cosine` on the vectors it already holds.
+    */
+  private def lshPairs(spark: SparkSession, ds: Dataset[Record], bands: Int = 8, bits: Int = 8,
+                       seed: Long = 7L)(keep: Double => Boolean): RDD[(Long, Long, Double)] = {
     val dim = Embed.Dim
     // Deterministic hyperplanes: bands*bits vectors of N(0,1)-ish values.
     val planes: Array[Array[Float]] = {
@@ -47,7 +54,7 @@ object Blocking {
       Array.fill(bands * bits)(Array.fill(dim)((rnd.nextGaussian()).toFloat))
     }
     val bc = spark.sparkContext.broadcast(planes)
-    val members = ds.flatMap { r =>
+    val members = ds.rdd.flatMap { r =>
       val ps = bc.value
       val sigs = Array.tabulate(bands) { b =>
         var sig = 0L
@@ -61,18 +68,33 @@ object Blocking {
         }
         sig
       }
-      Iterator.tabulate(bands)(b => (b, sigs(b), r.id, r.vec, sigs))
+      Iterator.tabulate(bands)(b => ((b, sigs(b)), (r.id, r.vec, sigs)))
     }
-    members.groupByKey(m => (m._1, m._2)).flatMapGroups { (bucket, it) =>
-      val band = bucket._1
-      val ms   = it.toArray.sortBy(_._3)
-      for {
-        i <- Iterator.range(0, ms.length)
-        j <- Iterator.range(i + 1, ms.length)
-        if firstAgreeingBand(ms(i)._5, ms(j)._5) == band
-      } yield (ms(i)._3, ms(j)._3, Embed.cosine(ms(i)._4, ms(j)._4))
-    }.toDF("id_a", "id_b", "sim")
+    bucketPairs(members) { (bucket, a, b) =>
+      if (firstAgreeingBand(a._3, b._3) != bucket._1) None
+      else { val sim = Embed.cosine(a._2, b._2); if (keep(sim)) Some((a._1, b._1, sim)) else None }
+    }
   }
+
+  /** The one bucket join behind LSH and the prefix join: `members` are
+    * (bucket, member) with the member's id first, grouped into
+    * `defaultParallelism` partitions (one per core; an RDD shuffle, which
+    * adaptive execution does not coalesce). A bucket task sorts its
+    * members by id and calls `pair` on each (lower id, higher id) pair of
+    * them; the pairs leave the task through a lazy iterator, and the task
+    * holds only its bucket's members.
+    */
+  private def bucketPairs[K: ClassTag, M <: Product3[Long, _, _]: ClassTag, P: ClassTag](members: RDD[(K, M)])(
+      pair: (K, M, M) => Option[P]): RDD[P] =
+    members.groupByKey(new HashPartitioner(members.sparkContext.defaultParallelism)).flatMap {
+      case (bucket, it) =>
+        val ms = it.toArray.sortBy(_._1)
+        for {
+          i <- Iterator.range(0, ms.length)
+          j <- Iterator.range(i + 1, ms.length)
+          p <- pair(bucket, ms(i), ms(j))
+        } yield p
+    }
 
   /** The first band in which two records' signatures agree. */
   private def firstAgreeingBand(a: Array[Long], b: Array[Long]): Int = {
@@ -90,9 +112,15 @@ object Blocking {
     */
   def filterCandidates(spark: SparkSession, ds: Dataset[Record], bt: Double): DataFrame = {
     import spark.implicits._
+    filterPairs(spark, ds, bt)(_ => true).toDF("id_a", "id_b", "sim")
+  }
+
+  /** The Filter candidates at `bt` whose Jaccard passes `keep`. */
+  private def filterPairs(spark: SparkSession, ds: Dataset[Record], bt: Double)(
+      keep: Double => Boolean): RDD[(Long, Long, Double)] = {
     // The key is the whole token set, so the key and full scores are equal.
-    val sets = ds.map { r => val toks = Embed.tokens(r.text).distinct; (r.id, toks, toks) }
-    prefixJoin(spark, sets, bt).toDF("id_a", "id_b", "sim", "full").drop("full")
+    val sets = ds.rdd.map { r => val toks = Embed.tokens(r.text).distinct; (r.id, toks, toks) }
+    prefixJoin(spark, sets, bt)((sim, _) => keep(sim)).map { case (a, b, sim, _) => (a, b, sim) }
   }
 
   /** Canopy blocking [McCallum et al.]: a cheap first-attribute token
@@ -100,39 +128,44 @@ object Blocking {
     * (bs >= ms); within canopies a refined all-attribute Jaccard decides
     * matches which then merge blocks transitively. Canopy members are
     * found with the prefix join at `ms`, which finds every pair whose
-    * cheap Jaccard is at least `ms`.
+    * cheap Jaccard is at least `ms`. `sim` is the larger of the cheap
+    * and the refined Jaccard.
     */
   def canopyCandidates(spark: SparkSession, ds: Dataset[Record],
                        bs: Double, ms: Double): DataFrame = {
     import spark.implicits._
+    canopyPairs(spark, ds, bs, ms)((_, _) => true).toDF("id_a", "id_b", "sim", "cheap")
+  }
+
+  /** The canopy members at `ms` (cheap Jaccard above `ms`) whose
+    * (cheap, refined) Jaccards pass `keep`, as (id_a, id_b, sim, cheap).
+    */
+  private def canopyPairs(spark: SparkSession, ds: Dataset[Record], bs: Double, ms: Double)(
+      keep: (Double, Double) => Boolean): RDD[(Long, Long, Double, Double)] = {
     require(bs >= ms, s"canopy needs bs >= ms, got $bs < $ms")
     // Cheap metric: Jaccard over the first attribute's tokens only;
     // refined: over the whole text's.
-    val sets = ds.map { r =>
+    val sets = ds.rdd.map { r =>
       (r.id, Embed.tokens(r.text.takeWhile(_ != '|')).distinct, Embed.tokens(r.text).distinct)
     }
-    prefixJoin(spark, sets, ms).toDF("id_a", "id_b", "cheap", "refined")
-      .where(col("cheap") > ms) // canopy membership
-      // An edge if tight-cheap OR refined match within the canopy.
-      .withColumn("sim", greatest(col("cheap"), col("refined")))
-      .select("id_a", "id_b", "sim", "cheap")
+    prefixJoin(spark, sets, ms)((cheap, refined) => cheap > ms && keep(cheap, refined))
+      .map { case (a, b, cheap, refined) => (a, b, math.max(cheap, refined), cheap) }
   }
 
-  /** Prefix-filtering set-similarity self-join, as one shuffle [Vernica,
-    * Carey & Li 2010]. `sets` holds each record's id, its key tokens and
-    * its full tokens, each distinct, with the key tokens a subset of the
-    * full ones. Tokens are ranked once by (document frequency over the
-    * full tokens, token), a total order whatever the partitioning. Each record takes the first `n - ceil(t*n) + 1`
-    * of its `n` ranked key tokens as its prefix and is sent to one bucket
-    * per prefix token. A bucket task pairs its members with
-    * `id_a < id_b` and keeps a pair only in the bucket of the first
-    * prefix token the two share, so every pair sharing a prefix token
-    * comes out exactly once, with the Jaccard of its key sets and of its
-    * full sets. Pairs leave the task through a lazy iterator.
+  /** Prefix-filtering set-similarity self-join, as one bucket shuffle
+    * [Vernica, Carey & Li 2010]. `sets` holds each record's id, its key
+    * tokens and its full tokens, each distinct, with the key tokens a
+    * subset of the full ones. Tokens are ranked once by (document
+    * frequency over the full tokens, token), a total order whatever the
+    * partitioning. Each record takes the first `n - ceil(t*n) + 1` of its
+    * `n` ranked key tokens as its prefix and is sent to one bucket per
+    * prefix token. A bucket task pairs its members and keeps a pair only
+    * in the bucket of the first prefix token the two share, so every pair
+    * sharing a prefix token comes out exactly once, with the Jaccard of
+    * its key sets and of its full sets, if those pass `keep`.
     */
-  private def prefixJoin(spark: SparkSession, sets: Dataset[(Long, Vector[String], Vector[String])],
-                         t: Double): Dataset[(Long, Long, Double, Double)] = {
-    import spark.implicits._
+  private def prefixJoin(spark: SparkSession, sets: RDD[(Long, Vector[String], Vector[String])], t: Double)(
+      keep: (Double, Double) => Boolean): RDD[(Long, Long, Double, Double)] = {
     // Document frequencies, counted per partition and summed on the driver.
     val dfs = sets.mapPartitions { it =>
       val c = scala.collection.mutable.HashMap.empty[String, Long]
@@ -149,15 +182,14 @@ object Blocking {
       // Prefix size |x| - ceil(t*|x|) + 1 guarantees no Jaccard>=t pair is missed.
       val p = math.max(0L, math.min(n.toLong, n - math.ceil(t * n).toLong + 1)).toInt
       val f = full.map(r).toArray.sorted
-      Iterator.range(0, p).map(i => (k(i), id, k, f))
+      Iterator.range(0, p).map(i => (k(i), (id, k, f)))
     }
-    members.groupByKey(_._1).flatMapGroups { (tok, it) =>
-      val ms = it.toArray.sortBy(_._2)
-      for {
-        i <- Iterator.range(0, ms.length)
-        j <- Iterator.range(i + 1, ms.length)
-        if firstShared(ms(i)._3, ms(j)._3) == tok
-      } yield (ms(i)._2, ms(j)._2, jaccard(ms(i)._3, ms(j)._3), jaccard(ms(i)._4, ms(j)._4))
+    bucketPairs(members) { (tok, a, b) =>
+      if (firstShared(a._2, b._2) != tok) None
+      else {
+        val key = jaccard(a._2, b._2); val full = jaccard(a._3, b._3)
+        if (keep(key, full)) Some((a._1, b._1, key, full)) else None
+      }
     }
   }
 
@@ -200,44 +232,72 @@ object Blocking {
     */
   def componentsCapped(allIds: Seq[Long], edges: Seq[(Long, Long, Double)],
                        cap: Int = MaxBlockSize): Map[Long, Long] = {
-    val uf   = new UnionFind(allIds)
-    val size = scala.collection.mutable.Map.empty[Long, Int]
-    allIds.foreach(id => size(id) = 1)
-    edges.sortBy { case (a, b, sim) => (-sim, a, b) }.foreach { case (a, b, _) =>
+    val uf = new UnionFind(allIds)
+    // Component sizes and block ids are indexed by the root's position
+    // among the ascending ids.
+    val sorted = allIds.toArray.sorted
+    def at(id: Long): Int = java.util.Arrays.binarySearch(sorted, id)
+    val size = Array.fill(sorted.length)(1)
+    val order = edges.toArray
+    java.util.Arrays.sort(order, strongestFirst)
+    order.foreach { case (a, b, _) =>
       val ra = uf.find(a); val rb = uf.find(b)
-      if (ra != rb && size(ra) + size(rb) <= cap) {
+      if (ra != rb && size(at(ra)) + size(at(rb)) <= cap) {
+        val merged = size(at(ra)) + size(at(rb))
         uf.union(a, b)
-        val r = uf.find(a)
-        size(r) = size(ra) + size(rb)
+        size(at(uf.find(a))) = merged
       }
     }
-    // Canonical block id: smallest record id of the component.
-    val rootMin = allIds.groupBy(uf.find).map { case (r, ids) => r -> ids.min }
-    allIds.map(id => id -> rootMin(uf.find(id))).toMap
+    // Canonical block id: smallest record id of the component, the first
+    // of its members met in ascending order.
+    val blockId = new Array[Long](sorted.length); val seen = new Array[Boolean](sorted.length)
+    sorted.iterator.map { id =>
+      val r = at(uf.find(id))
+      if (!seen(r)) { seen(r) = true; blockId(r) = id }
+      id -> blockId(r)
+    }.toMap
   }
 
-  /** End-to-end blocking: record id -> block id (smallest member id; NoBlocking: 0). */
+  /** Edges by descending similarity, then ascending ids: the order of
+    * sorting by the tuple (-sim, a, b), without building it per edge.
+    */
+  private val strongestFirst: java.util.Comparator[(Long, Long, Double)] = (x, y) => {
+    val bySim = java.lang.Double.compare(-x._3, -y._3)
+    if (bySim != 0) bySim
+    else if (x._1 != y._1) java.lang.Long.compare(x._1, y._1)
+    else java.lang.Long.compare(x._2, y._2)
+  }
+
+  /** End-to-end blocking: record id -> block id (smallest member id; NoBlocking: 0).
+    *
+    * The threshold is applied in the bucket task, so pruned pairs never
+    * leave it: LSH and Filter keep `sim >= bt`, Canopy keeps a canopy
+    * member if `cheap >= bs` or `sim >= bt`. Similarities are cosines of
+    * finite floats or Jaccards in [0, 1], never NaN, so these Scala
+    * comparisons keep exactly the rows the same SQL `>=` filters on the
+    * public candidate DataFrames keep.
+    */
   def block(spark: SparkSession, ds: Dataset[Record], strategy: Strategy,
             bt: Double): Map[Long, Long] = {
     import spark.implicits._
     val ids = ds.map(_.id).collect().toSeq
-    val edges: Seq[(Long, Long, Double)] = strategy match {
-      case NoBlocking => Seq.empty // handled below: all in one block
-      case LSH =>
-        lshCandidates(spark, ds).where(col("sim") >= bt)
-          .select("id_a", "id_b", "sim").as[(Long, Long, Double)].collect().toSeq
-      case Filter =>
-        filterCandidates(spark, ds, bt).where(col("sim") >= bt)
-          .select("id_a", "id_b", "sim").as[(Long, Long, Double)].collect().toSeq
-      case Canopy =>
-        canopyCandidates(spark, ds, bs = math.min(0.95, bt + 0.15), ms = math.max(0.05, bt - 0.15))
-          .where(col("cheap") >= math.min(0.95, bt + 0.15) || col("sim") >= bt)
-          .select("id_a", "id_b", "sim").as[(Long, Long, Double)].collect().toSeq
-    }
     strategy match {
       case NoBlocking => ids.map(_ -> 0L).toMap
-      case _          => componentsCapped(ids, edges)
+      case _          => componentsCapped(ids, edges(spark, ds, strategy, bt))
     }
+  }
+
+  /** The scored pairs `block` links records with, as (id_a, id_b, sim). */
+  private[blocking] def edges(spark: SparkSession, ds: Dataset[Record], strategy: Strategy,
+                              bt: Double): Seq[(Long, Long, Double)] = strategy match {
+    case NoBlocking => Seq.empty
+    case LSH        => lshPairs(spark, ds)(_ >= bt).collect().toSeq
+    case Filter     => filterPairs(spark, ds, bt)(_ >= bt).collect().toSeq
+    case Canopy     =>
+      val bs = math.min(0.95, bt + 0.15)
+      canopyPairs(spark, ds, bs, ms = math.max(0.05, bt - 0.15)) { (cheap, refined) =>
+        cheap >= bs || math.max(cheap, refined) >= bt
+      }.map { case (a, b, sim, _) => (a, b, sim) }.collect().toSeq
   }
 
   /** Tune the similarity threshold bt on a labeled validation sample
@@ -245,33 +305,32 @@ object Blocking {
     * is predicted to match when its similarity `s >= t`.
     */
   def tuneThreshold(sample: Vector[Record], sims: (Record, Record) => Double): Double = {
-    val same = Array.newBuilder[Double]; val diff = Array.newBuilder[Double]
+    val thresholds = Array.tabulate(19)(k => (k + 1) * 0.05)
+    // cleared(m): pairs whose similarity is >= exactly the m lowest
+    // thresholds (ascending, so those it is >= form a prefix); a NaN
+    // similarity is neither >= t nor < t and counts nowhere.
+    val sameCleared = new Array[Int](thresholds.length + 1); val diffCleared = new Array[Int](thresholds.length + 1)
     for (i <- sample.indices; j <- i + 1 until sample.size) {
       val s = sims(sample(i), sample(j))
-      // A NaN similarity is neither >= t nor < t: it counts nowhere.
-      if (!s.isNaN) { if (sample(i).entityId == sample(j).entityId) same += s else diff += s }
+      if (!s.isNaN) {
+        var m = 0
+        while (m < thresholds.length && s >= thresholds(m)) m += 1
+        if (sample(i).entityId == sample(j).entityId) sameCleared(m) += 1 else diffCleared(m) += 1
+      }
     }
-    val sameSims = same.result(); val diffSims = diff.result()
-    java.util.Arrays.sort(sameSims); java.util.Arrays.sort(diffSims)
-    val thresholds = (1 to 19).map(_ * 0.05)
-    thresholds.maxBy { t =>
-      val tp = atLeast(sameSims, t)
-      val fp = atLeast(diffSims, t)
-      val fn = sameSims.length - tp
+    // Suffix sums: how many pairs are >= threshold k.
+    def atLeast(cleared: Array[Int]): Array[Int] = cleared.tail.scanRight(0)(_ + _)
+    val sameAtLeast = atLeast(sameCleared); val diffAtLeast = atLeast(diffCleared)
+    val sameTotal = sameCleared.sum
+    val best = thresholds.indices.maxBy { k =>
+      val tp = sameAtLeast(k)
+      val fp = diffAtLeast(k)
+      val fn = sameTotal - tp
       if (tp == 0) 0.0 else {
         val p = tp.toDouble / (tp + fp); val r = tp.toDouble / (tp + fn)
         2 * p * r / (p + r)
       }
     }
-  }
-
-  /** How many of the ascending `sorted` are `>= t`. */
-  private def atLeast(sorted: Array[Double], t: Double): Int = {
-    var lo = 0; var hi = sorted.length
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (sorted(mid) < t) lo = mid + 1 else hi = mid
-    }
-    sorted.length - lo
+    thresholds(best)
   }
 }

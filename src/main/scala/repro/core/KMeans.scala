@@ -5,7 +5,7 @@ import java.util.concurrent.{ExecutionException, ForkJoinPool, FutureTask}
 /** Local k-means + elbow, used by NRS (Algorithm 1, lines 9–10) for its
   * preliminary diversity assessment of a block's remaining records.
   *
-  * It runs inside the block's `mapGroups` task, once per record set, over
+  * It runs inside the block's resolve task, once per record set, over
   * every record still left in the block. Blocks from LSH/Filter/Canopy
   * hold at most `Blocking.MaxBlockSize` records, but `NoBlocking` makes
   * the whole dataset one block (1,290 records on Cora, so 144 elbow

@@ -1,5 +1,6 @@
 package repro.blocking
 
+import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 import repro.{PropSupport, SparkSpec}
@@ -143,19 +144,93 @@ class BlockingSpec extends SparkSpec with PropSupport {
     }
   }
 
-  test("tuneThreshold equals brute-force counting, ties at s == t included") {
-    // Similarities are drawn mostly from the threshold grid itself.
+  /** Labeled records with a similarity table over them; similarities are
+    * drawn mostly from the threshold grid itself, some are NaN.
+    */
+  private val simTables = {
     val sim = Gen.frequency(4 -> Gen.choose(0, 20).map(_ * 0.05), 1 -> Gen.choose(0.0, 1.0),
                             1 -> Gen.const(Double.NaN))
-    val gen = for {
+    for {
       n    <- Gen.choose(0, 30)
       ents <- Gen.listOfN(n, Gen.choose(0L, 6L))
       sims <- Gen.listOfN(n * n, sim)
-    } yield (ents.zipWithIndex.map { case (e, i) => Record(i.toLong, e, "", Array.emptyFloatArray) }.toVector,
-             sims.toVector)
-    checkProp(Prop.forAllNoShrink(gen) { case (recs, table) =>
-      val sims = (a: Record, b: Record) => table((a.id * recs.size + b.id).toInt)
+    } yield {
+      val recs = ents.zipWithIndex.map { case (e, i) => Record(i.toLong, e, "", Array.emptyFloatArray) }.toVector
+      (recs, (a: Record, b: Record) => sims((a.id * recs.size + b.id).toInt))
+    }
+  }
+
+  test("tuneThreshold equals brute-force counting, ties at s == t included") {
+    checkProp(Prop.forAllNoShrink(simTables) { case (recs, sims) =>
       Blocking.tuneThreshold(recs, sims) == bruteForceThreshold(recs, sims)
     }, minTests = 300)
+  }
+
+  test("tuneThreshold equals the sorting reference bit for bit, ties at s == t included") {
+    checkProp(Prop.forAllNoShrink(simTables) { case (recs, sims) =>
+      java.lang.Double.doubleToRawLongBits(Blocking.tuneThreshold(recs, sims)) ==
+        java.lang.Double.doubleToRawLongBits(ThresholdReference.tuneThreshold(recs, sims))
+    }, minTests = 300)
+  }
+
+  test("componentsCapped equals the tuple-sorting reference on tied, duplicate and self edges") {
+    val sim = Gen.frequency(3 -> Gen.oneOf(-0.0, 0.0, 0.25, 0.5, 1.0), 1 -> Gen.choose(-1.0, 1.0))
+    val gen = for {
+      ids   <- Gen.choose(0, 80).flatMap(Gen.listOfN(_, Gen.choose(-500L, 500L))).map(_.distinct)
+      edges <- if (ids.isEmpty) Gen.const(Nil)
+               else Gen.choose(0, 200).flatMap(Gen.listOfN(_, Gen.zip(Gen.oneOf(ids), Gen.oneOf(ids), sim)))
+      dups  <- Gen.choose(0, edges.size)
+      cap   <- Gen.oneOf(1, 2, 60, Int.MaxValue)
+    } yield (ids, edges ++ edges.take(dups), cap)
+    checkProp(Prop.forAllNoShrink(gen) { case (ids, edges, cap) =>
+      Blocking.componentsCapped(ids, edges, cap) == ComponentsReference.componentsCapped(ids, edges, cap)
+    }, minTests = 300)
+  }
+
+  /** The edges `block` linked records with when it thresholded the public
+    * candidate DataFrames in SQL, as it did before the threshold moved
+    * into the bucket task.
+    */
+  private def sqlEdges(data: Dataset[Record], strategy: Blocking.Strategy, bt: Double): Vector[(Long, Long, Double)] = {
+    import spark.implicits._
+    val kept = strategy match {
+      case Blocking.LSH    => Blocking.lshCandidates(spark, data).where(col("sim") >= bt)
+      case Blocking.Filter => Blocking.filterCandidates(spark, data, bt).where(col("sim") >= bt)
+      case Blocking.Canopy =>
+        Blocking.canopyCandidates(spark, data, bs = math.min(0.95, bt + 0.15), ms = math.max(0.05, bt - 0.15))
+          .where(col("cheap") >= math.min(0.95, bt + 0.15) || col("sim") >= bt)
+    }
+    kept.select("id_a", "id_b", "sim").as[(Long, Long, Double)].collect().toVector
+  }
+
+  /** Edges sorted by ids, sims as raw bits. */
+  private def bits(edges: Seq[(Long, Long, Double)]): Vector[(Long, Long, Long)] =
+    edges.map { case (a, b, s) => (a, b, java.lang.Double.doubleToRawLongBits(s)) }.toVector.sorted
+
+  test("block's in-task thresholds keep exactly the SQL-thresholded candidates, ties at sim == bt included") {
+    for (profile <- Seq(DatasetProfile.mini(DatasetProfile.alaska, 600), DatasetProfile.mini(DatasetProfile.as, 600),
+                        DatasetProfile.mini(DatasetProfile.citeseer, 250))) {
+      val data = ERGen.records(spark, profile).cache()
+      try {
+        val ids = data.collect().map(_.id).toSeq
+        for (strategy <- Seq(Blocking.LSH, Blocking.Filter, Blocking.Canopy)) {
+          // 0.35 puts Canopy's bs at 0.5; the median kept score at 0.5 is
+          // a threshold some candidate's score equals exactly.
+          val atHalf = sqlEdges(data, strategy, 0.5).map(_._3).sorted
+          val tie    = atHalf(atHalf.size / 2)
+          for (bt <- Seq(0.35, tie)) {
+            val expected = sqlEdges(data, strategy, bt)
+            assert(bt != tie || expected.exists(_._3 == bt), s"no tie at sim == bt, ${profile.name} ${strategy.name}")
+            for (parts <- Seq(1, 7)) {
+              val at = s"${profile.name} ${strategy.name} bt=$bt, $parts input partitions"
+              val in = data.repartition(parts)
+              assert(bits(Blocking.edges(spark, in, strategy, bt)) == bits(expected), s"edges differ, $at")
+              assert(Blocking.block(spark, in, strategy, bt) == Blocking.componentsCapped(ids, expected),
+                     s"blocks differ, $at")
+            }
+          }
+        }
+      } finally data.unpersist()
+    }
   }
 }
