@@ -81,8 +81,10 @@ object Blocking {
     * `defaultParallelism` partitions (one per core; an RDD shuffle, which
     * adaptive execution does not coalesce). A bucket task sorts its
     * members by id and calls `pair` on each (lower id, higher id) pair of
-    * them; the pairs leave the task through a lazy iterator, and the task
-    * holds only its bucket's members.
+    * them; the pairs leave the task through a lazy iterator. The task
+    * holds its whole partition's buckets, about 1/cores of all members:
+    * RDD `groupByKey` builds every group of the partition (spilling to
+    * disk past the execution memory) before it hands out the first.
     */
   private def bucketPairs[K: ClassTag, M <: Product3[Long, _, _]: ClassTag, P: ClassTag](members: RDD[(K, M)])(
       pair: (K, M, M) => Option[P]): RDD[P] =
@@ -232,40 +234,20 @@ object Blocking {
     */
   def componentsCapped(allIds: Seq[Long], edges: Seq[(Long, Long, Double)],
                        cap: Int = MaxBlockSize): Map[Long, Long] = {
-    val uf = new UnionFind(allIds)
-    // Component sizes and block ids are indexed by the root's position
-    // among the ascending ids.
-    val sorted = allIds.toArray.sorted
-    def at(id: Long): Int = java.util.Arrays.binarySearch(sorted, id)
-    val size = Array.fill(sorted.length)(1)
-    val order = edges.toArray
-    java.util.Arrays.sort(order, strongestFirst)
-    order.foreach { case (a, b, _) =>
+    val uf   = new UnionFind(allIds)
+    val size = scala.collection.mutable.Map.empty[Long, Int]
+    allIds.foreach(id => size(id) = 1)
+    edges.sortBy { case (a, b, sim) => (-sim, a, b) }.foreach { case (a, b, _) =>
       val ra = uf.find(a); val rb = uf.find(b)
-      if (ra != rb && size(at(ra)) + size(at(rb)) <= cap) {
-        val merged = size(at(ra)) + size(at(rb))
+      if (ra != rb && size(ra) + size(rb) <= cap) {
         uf.union(a, b)
-        size(at(uf.find(a))) = merged
+        val r = uf.find(a)
+        size(r) = size(ra) + size(rb)
       }
     }
-    // Canonical block id: smallest record id of the component, the first
-    // of its members met in ascending order.
-    val blockId = new Array[Long](sorted.length); val seen = new Array[Boolean](sorted.length)
-    sorted.iterator.map { id =>
-      val r = at(uf.find(id))
-      if (!seen(r)) { seen(r) = true; blockId(r) = id }
-      id -> blockId(r)
-    }.toMap
-  }
-
-  /** Edges by descending similarity, then ascending ids: the order of
-    * sorting by the tuple (-sim, a, b), without building it per edge.
-    */
-  private val strongestFirst: java.util.Comparator[(Long, Long, Double)] = (x, y) => {
-    val bySim = java.lang.Double.compare(-x._3, -y._3)
-    if (bySim != 0) bySim
-    else if (x._1 != y._1) java.lang.Long.compare(x._1, y._1)
-    else java.lang.Long.compare(x._2, y._2)
+    // Canonical block id: smallest record id of the component.
+    val rootMin = allIds.groupBy(uf.find).map { case (r, ids) => r -> ids.min }
+    allIds.map(id => id -> rootMin(uf.find(id))).toMap
   }
 
   /** End-to-end blocking: record id -> block id (smallest member id; NoBlocking: 0).
@@ -305,32 +287,33 @@ object Blocking {
     * is predicted to match when its similarity `s >= t`.
     */
   def tuneThreshold(sample: Vector[Record], sims: (Record, Record) => Double): Double = {
-    val thresholds = Array.tabulate(19)(k => (k + 1) * 0.05)
-    // cleared(m): pairs whose similarity is >= exactly the m lowest
-    // thresholds (ascending, so those it is >= form a prefix); a NaN
-    // similarity is neither >= t nor < t and counts nowhere.
-    val sameCleared = new Array[Int](thresholds.length + 1); val diffCleared = new Array[Int](thresholds.length + 1)
+    val same = Array.newBuilder[Double]; val diff = Array.newBuilder[Double]
     for (i <- sample.indices; j <- i + 1 until sample.size) {
       val s = sims(sample(i), sample(j))
-      if (!s.isNaN) {
-        var m = 0
-        while (m < thresholds.length && s >= thresholds(m)) m += 1
-        if (sample(i).entityId == sample(j).entityId) sameCleared(m) += 1 else diffCleared(m) += 1
-      }
+      // A NaN similarity is neither >= t nor < t: it counts nowhere.
+      if (!s.isNaN) { if (sample(i).entityId == sample(j).entityId) same += s else diff += s }
     }
-    // Suffix sums: how many pairs are >= threshold k.
-    def atLeast(cleared: Array[Int]): Array[Int] = cleared.tail.scanRight(0)(_ + _)
-    val sameAtLeast = atLeast(sameCleared); val diffAtLeast = atLeast(diffCleared)
-    val sameTotal = sameCleared.sum
-    val best = thresholds.indices.maxBy { k =>
-      val tp = sameAtLeast(k)
-      val fp = diffAtLeast(k)
-      val fn = sameTotal - tp
+    val sameSims = same.result(); val diffSims = diff.result()
+    java.util.Arrays.sort(sameSims); java.util.Arrays.sort(diffSims)
+    val thresholds = (1 to 19).map(_ * 0.05)
+    thresholds.maxBy { t =>
+      val tp = atLeast(sameSims, t)
+      val fp = atLeast(diffSims, t)
+      val fn = sameSims.length - tp
       if (tp == 0) 0.0 else {
         val p = tp.toDouble / (tp + fp); val r = tp.toDouble / (tp + fn)
         2 * p * r / (p + r)
       }
     }
-    thresholds(best)
+  }
+
+  /** How many of the ascending `sorted` are `>= t`. */
+  private def atLeast(sorted: Array[Double], t: Double): Int = {
+    var lo = 0; var hi = sorted.length
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (sorted(mid) < t) lo = mid + 1 else hi = mid
+    }
+    sorted.length - lo
   }
 }

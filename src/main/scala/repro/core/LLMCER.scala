@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.Partitioner
-import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.blocking.Blocking
 import repro.embed.Embed
@@ -18,8 +17,8 @@ final case class ERResult(
   * generic per-block execution harness shared with every baseline.
   *
   * Dataflow: blocking produces a record id -> block id map, which is
-  * broadcast; one RDD shuffle groups records by block into one partition
-  * per core, with the blocks packed longest-first (`packBlocks`), and each
+  * broadcast; one RDD shuffle groups records by block, hashed into one
+  * partition per core (adaptive execution does not coalesce it), and each
   * group is resolved by a per-block function running in the executor task
   * (the "LLM-based clustering UDF per partition"); outcomes are collected
   * and merged in block-id order, whatever the shuffle layout.
@@ -80,14 +79,10 @@ object LLMCER {
   def runWith(spark: SparkSession, ds: Dataset[Record], strategy: Blocking.Strategy,
               fn: BlockFn, btOverride: Option[Double] = None): ERResult = {
     val bt = btOverride.getOrElse(tunedThreshold(ds, strategy))
-    val blocks = Blocking.block(spark, ds, strategy, bt)
-    val blockOf = spark.sparkContext.broadcast(blocks)
-    val sizes = blocks.groupMapReduce(_._2)(_ => 1)(_ + _)
-    val parts = spark.sparkContext.defaultParallelism
-    val byBlock = new BlockPartitioner(parts, spark.sparkContext.broadcast(packBlocks(sizes, parts)))
+    val blockOf = spark.sparkContext.broadcast(Blocking.block(spark, ds, strategy, bt))
     val outcomes = ds.rdd
       .map(r => (blockOf.value(r.id), r))
-      .groupByKey(byBlock)
+      .groupByKey(new HashPartitioner(spark.sparkContext.defaultParallelism))
       .map { case (bid, iter) =>
         val recs = iter.toVector.sortBy(_.id)
         val res  = fn(bid, recs)
@@ -108,25 +103,5 @@ object LLMCER {
     val levels = Vector.tabulate(maxLv)(i =>
       outcomes.map(o => if (i < o.levels.size) o.levels(i) else 0).sum)
     ERResult(partition, usage, levels, outcomes.size)
-  }
-
-  /** Blocks packed onto `parts` partitions longest-first: by descending
-    * cost, then block id, each block goes to the least-loaded partition
-    * (lowest index on ties). A block's cost is its size squared, a proxy
-    * for its pairwise and CMR work. Returns block id -> partition.
-    */
-  private[core] def packBlocks(sizes: Map[Long, Int], parts: Int): Map[Long, Int] = {
-    val load = new Array[Long](parts)
-    sizes.toArray.sortBy { case (bid, n) => (-n.toLong * n, bid) }.map { case (bid, n) =>
-      val p = load.indices.minBy(i => load(i))
-      load(p) += n.toLong * n
-      bid -> p
-    }.toMap
-  }
-
-  /** Sends a block id to its partition in the broadcast packing. */
-  private final class BlockPartitioner(parts: Int, partOf: Broadcast[Map[Long, Int]]) extends Partitioner {
-    override def numPartitions: Int = parts
-    override def getPartition(key: Any): Int = partOf.value(key.asInstanceOf[Long])
   }
 }

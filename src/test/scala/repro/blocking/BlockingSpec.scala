@@ -144,46 +144,19 @@ class BlockingSpec extends SparkSpec with PropSupport {
     }
   }
 
-  /** Labeled records with a similarity table over them; similarities are
-    * drawn mostly from the threshold grid itself, some are NaN.
-    */
-  private val simTables = {
+  test("tuneThreshold equals brute-force counting, ties at s == t included") {
+    // Similarities are drawn mostly from the threshold grid itself.
     val sim = Gen.frequency(4 -> Gen.choose(0, 20).map(_ * 0.05), 1 -> Gen.choose(0.0, 1.0),
                             1 -> Gen.const(Double.NaN))
-    for {
+    val gen = for {
       n    <- Gen.choose(0, 30)
       ents <- Gen.listOfN(n, Gen.choose(0L, 6L))
       sims <- Gen.listOfN(n * n, sim)
-    } yield {
-      val recs = ents.zipWithIndex.map { case (e, i) => Record(i.toLong, e, "", Array.emptyFloatArray) }.toVector
-      (recs, (a: Record, b: Record) => sims((a.id * recs.size + b.id).toInt))
-    }
-  }
-
-  test("tuneThreshold equals brute-force counting, ties at s == t included") {
-    checkProp(Prop.forAllNoShrink(simTables) { case (recs, sims) =>
+    } yield (ents.zipWithIndex.map { case (e, i) => Record(i.toLong, e, "", Array.emptyFloatArray) }.toVector,
+             sims.toVector)
+    checkProp(Prop.forAllNoShrink(gen) { case (recs, table) =>
+      val sims = (a: Record, b: Record) => table((a.id * recs.size + b.id).toInt)
       Blocking.tuneThreshold(recs, sims) == bruteForceThreshold(recs, sims)
-    }, minTests = 300)
-  }
-
-  test("tuneThreshold equals the sorting reference bit for bit, ties at s == t included") {
-    checkProp(Prop.forAllNoShrink(simTables) { case (recs, sims) =>
-      java.lang.Double.doubleToRawLongBits(Blocking.tuneThreshold(recs, sims)) ==
-        java.lang.Double.doubleToRawLongBits(ThresholdReference.tuneThreshold(recs, sims))
-    }, minTests = 300)
-  }
-
-  test("componentsCapped equals the tuple-sorting reference on tied, duplicate and self edges") {
-    val sim = Gen.frequency(3 -> Gen.oneOf(-0.0, 0.0, 0.25, 0.5, 1.0), 1 -> Gen.choose(-1.0, 1.0))
-    val gen = for {
-      ids   <- Gen.choose(0, 80).flatMap(Gen.listOfN(_, Gen.choose(-500L, 500L))).map(_.distinct)
-      edges <- if (ids.isEmpty) Gen.const(Nil)
-               else Gen.choose(0, 200).flatMap(Gen.listOfN(_, Gen.zip(Gen.oneOf(ids), Gen.oneOf(ids), sim)))
-      dups  <- Gen.choose(0, edges.size)
-      cap   <- Gen.oneOf(1, 2, 60, Int.MaxValue)
-    } yield (ids, edges ++ edges.take(dups), cap)
-    checkProp(Prop.forAllNoShrink(gen) { case (ids, edges, cap) =>
-      Blocking.componentsCapped(ids, edges, cap) == ComponentsReference.componentsCapped(ids, edges, cap)
     }, minTests = 300)
   }
 

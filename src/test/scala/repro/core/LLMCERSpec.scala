@@ -1,14 +1,13 @@
 package repro.core
 
 import org.apache.spark.sql.Dataset
-import org.scalacheck.{Gen, Prop}
-import repro.{PropSupport, SparkSpec}
+import repro.SparkSpec
 import repro.blocking.Blocking
 import repro.data.DatasetProfile
 import repro.exp.{Harness, ResultRow}
 import repro.llm.LLMConfig
 
-class LLMCERSpec extends SparkSpec with PropSupport {
+class LLMCERSpec extends SparkSpec {
 
   private lazy val mini = DatasetProfile.mini(DatasetProfile.citeseer, 300)
 
@@ -92,31 +91,6 @@ class LLMCERSpec extends SparkSpec with PropSupport {
       saved.foreach { case (k, v) => v.fold(conf.unset(k))(conf.set(k, _)) }
       ds.unpersist()
     }
-  }
-
-  test("packBlocks puts each block on one partition, longest first, within one block of balance") {
-    val gen = for {
-      parts <- Gen.choose(1, 8)
-      n     <- Gen.choose(1, 200)
-      bids  <- Gen.listOfN(n, Gen.choose(0L, 10000L)).map(_.distinct)
-      sizes <- Gen.listOfN(bids.size, Gen.frequency(4 -> Gen.choose(1, 5), 1 -> Gen.choose(1, 60)))
-    } yield (bids.zip(sizes), parts)
-    checkProp(Prop.forAllNoShrink(gen) { case (blocks, parts) =>
-      val size   = blocks.toMap
-      val packed = LLMCER.packBlocks(size, parts)
-      val load   = packed.groupMapReduce(_._2) { case (b, _) => size(b).toLong * size(b) }(_ + _)
-      val costs  = blocks.map { case (_, n) => n.toLong * n }
-      packed == LLMCER.packBlocks(blocks.reverse.toMap, parts) &&
-        packed.keySet == blocks.map(_._1).toSet &&
-        packed.values.forall(p => p >= 0 && p < parts) &&
-        load.values.max <= costs.sum.toDouble / parts + costs.max
-    }, minTests = 200)
-    assert(LLMCER.packBlocks(Map(3L -> 2, 1L -> 5, 2L -> 1), 1) == Map(3L -> 0, 1L -> 0, 2L -> 0))
-    // One block, as NoBlocking gives, lands on the first partition.
-    assert(LLMCER.packBlocks(Map(0L -> 1290), 4) == Map(0L -> 0))
-    // Longest first, ties by block id, each to the least-loaded partition.
-    assert(LLMCER.packBlocks(Map(5L -> 3, 1L -> 3, 2L -> 1, 4L -> 2), 2) ==
-           Map(1L -> 0, 5L -> 1, 4L -> 0, 2L -> 1))
   }
 
   test("tunedThreshold lies in the sweep range for every strategy") {
