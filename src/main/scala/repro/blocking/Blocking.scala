@@ -3,6 +3,7 @@ package repro.blocking
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import scala.collection.mutable
 import scala.reflect.ClassTag
 import repro.core.{Record, UnionFind}
 import repro.embed.Embed
@@ -12,9 +13,10 @@ import repro.embed.Embed
   * Each strategy produces scored candidate record pairs in Spark (the
   * data-heavy part) in one RDD shuffle into one partition per core: each
   * record goes to a few buckets (LSH band signatures, or prefix tokens
-  * for Filter and Canopy), and a bucket task pairs its members and scores
-  * each pair with the data it already holds. Pairs below a similarity
-  * threshold are pruned in that task, and
+  * for Filter and Canopy), and a bucket task groups its partition's
+  * members by bucket in a local hash map, pairs each bucket's members and
+  * scores each pair with the data it already holds. Pairs below a
+  * similarity threshold are pruned in that task, and
   * blocks are the connected components of the surviving edges
   * (transitive block merging). Components are computed with a
   * driver-side union-find over the collected edge list — edge lists are
@@ -77,25 +79,36 @@ object Blocking {
   }
 
   /** The one bucket join behind LSH and the prefix join: `members` are
-    * (bucket, member) with the member's id first, grouped into
-    * `defaultParallelism` partitions (one per core; an RDD shuffle, which
-    * adaptive execution does not coalesce). A bucket task sorts its
-    * members by id and calls `pair` on each (lower id, higher id) pair of
-    * them; the pairs leave the task through a lazy iterator. The task
-    * holds its whole partition's buckets, about 1/cores of all members:
-    * RDD `groupByKey` builds every group of the partition (spilling to
-    * disk past the execution memory) before it hands out the first.
+    * (bucket, member) with the member's id first, grouped by `groupInTask`.
+    * A bucket task sorts its members by id and calls `pair` on each
+    * (lower id, higher id) pair of them; the pairs leave the task through
+    * a lazy iterator.
     */
   private def bucketPairs[K: ClassTag, M <: Product3[Long, _, _]: ClassTag, P: ClassTag](members: RDD[(K, M)])(
       pair: (K, M, M) => Option[P]): RDD[P] =
-    members.groupByKey(new HashPartitioner(members.sparkContext.defaultParallelism)).flatMap {
-      case (bucket, it) =>
-        val ms = it.toArray.sortBy(_._1)
-        for {
-          i <- Iterator.range(0, ms.length)
-          j <- Iterator.range(i + 1, ms.length)
-          p <- pair(bucket, ms(i), ms(j))
-        } yield p
+    groupInTask(members).flatMap { case (bucket, group) =>
+      val ms = group.sortBy(_._1)
+      for {
+        i <- Iterator.range(0, ms.length)
+        j <- Iterator.range(i + 1, ms.length)
+        p <- pair(bucket, ms(i), ms(j))
+      } yield p
+    }
+
+  /** `pairs` grouped by key, as one RDD shuffle into `defaultParallelism`
+    * partitions (one per core; adaptive execution does not coalesce it).
+    * The shuffle has no aggregator and no key ordering, so its writer and
+    * reader keep no size-tracked map; each reduce task groups its whole
+    * partition, about 1/cores of all pairs, in a local hash map, in
+    * memory, before it hands out the first group. Groups come out in no
+    * particular order, their values in arrival order. The bucket joins
+    * and `LLMCER.runWith`'s resolve stage share it.
+    */
+  private[repro] def groupInTask[K: ClassTag, V: ClassTag](pairs: RDD[(K, V)]): RDD[(K, mutable.ArrayBuffer[V])] =
+    pairs.partitionBy(new HashPartitioner(pairs.sparkContext.defaultParallelism)).mapPartitions { it =>
+      val groups = mutable.HashMap.empty[K, mutable.ArrayBuffer[V]]
+      it.foreach { case (k, v) => groups.getOrElseUpdate(k, mutable.ArrayBuffer.empty[V]) += v }
+      groups.iterator
     }
 
   /** The first band in which two records' signatures agree. */
@@ -250,7 +263,11 @@ object Blocking {
     allIds.map(id => id -> rootMin(uf.find(id))).toMap
   }
 
-  /** End-to-end blocking: record id -> block id (smallest member id; NoBlocking: 0).
+  /** End-to-end blocking: record id -> block id, as a function of the id
+    * (NoBlocking: 0 for every record, with no Spark job). Otherwise the
+    * blocks are `componentsCapped` over the ids that appear in an edge;
+    * a record with no edge is its own block, keyed by its id, which is
+    * the block id `componentsCapped` over all ids gives it too.
     *
     * The threshold is applied in the bucket task, so pruned pairs never
     * leave it: LSH and Filter keep `sim >= bt`, Canopy keeps a canopy
@@ -259,15 +276,15 @@ object Blocking {
     * comparisons keep exactly the rows the same SQL `>=` filters on the
     * public candidate DataFrames keep.
     */
-  def block(spark: SparkSession, ds: Dataset[Record], strategy: Strategy,
-            bt: Double): Map[Long, Long] = {
-    import spark.implicits._
-    val ids = ds.map(_.id).collect().toSeq
+  def block(spark: SparkSession, ds: Dataset[Record], strategy: Strategy, bt: Double): Long => Long =
     strategy match {
-      case NoBlocking => ids.map(_ -> 0L).toMap
-      case _          => componentsCapped(ids, edges(spark, ds, strategy, bt))
+      case NoBlocking => _ => 0L
+      case _ =>
+        val es = edges(spark, ds, strategy, bt)
+        val linked = es.iterator.flatMap { case (a, b, _) => Iterator(a, b) }.distinct.toVector
+        val blockOf = componentsCapped(linked, es)
+        id => blockOf.getOrElse(id, id)
     }
-  }
 
   /** The scored pairs `block` links records with, as (id_a, id_b, sim). */
   private[blocking] def edges(spark: SparkSession, ds: Dataset[Record], strategy: Strategy,

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.blocking.Blocking
 import repro.embed.Embed
@@ -16,12 +15,15 @@ final case class ERResult(
 /** The LLM-CER Spark driver (Algorithm 4 at dataset scale), plus the
   * generic per-block execution harness shared with every baseline.
   *
-  * Dataflow: blocking produces a record id -> block id map, which is
-  * broadcast; one RDD shuffle groups records by block, hashed into one
-  * partition per core (adaptive execution does not coalesce it), and each
-  * group is resolved by a per-block function running in the executor task
-  * (the "LLM-based clustering UDF per partition"); outcomes are collected
-  * and merged in block-id order, whatever the shuffle layout.
+  * Dataflow: threshold and floor tuning read one validation sample, the
+  * 600 smallest ids, drawn with `takeOrdered` on the records' RDD.
+  * Blocking produces a record id -> block id function, which is
+  * broadcast; one RDD shuffle (`Blocking.groupInTask`) groups records by
+  * block, hashed into one partition per core (adaptive execution does not
+  * coalesce it) and grouped in the reduce task, and each group is
+  * resolved by a per-block function running in the executor task (the
+  * "LLM-based clustering UDF per partition"); outcomes are collected and
+  * merged in block-id order, whatever the shuffle layout.
   */
 object LLMCER {
 
@@ -41,8 +43,11 @@ object LLMCER {
     Blocking.tuneThreshold(sample, simOf(strategy, sample))
   }
 
-  /** The labeled validation sample both tunings read: the 600 smallest ids. */
-  private def validationSample(ds: Dataset[Record]) = ds.sort("id").limit(600).collect().toVector
+  /** The labeled validation sample both tunings read: the 600 records
+    * with the smallest ids, in id order.
+    */
+  private def validationSample(ds: Dataset[Record]): Vector[Record] =
+    ds.rdd.takeOrdered(600)(Ordering.by[Record, Long](_.id)).toVector
 
   /** The strategy's similarity over records of `sample`: cosine for LSH,
     * token Jaccard otherwise, with each record's distinct tokens interned
@@ -80,11 +85,9 @@ object LLMCER {
               fn: BlockFn, btOverride: Option[Double] = None): ERResult = {
     val bt = btOverride.getOrElse(tunedThreshold(ds, strategy))
     val blockOf = spark.sparkContext.broadcast(Blocking.block(spark, ds, strategy, bt))
-    val outcomes = ds.rdd
-      .map(r => (blockOf.value(r.id), r))
-      .groupByKey(new HashPartitioner(spark.sparkContext.defaultParallelism))
-      .map { case (bid, iter) =>
-        val recs = iter.toVector.sortBy(_.id)
+    val outcomes = Blocking.groupInTask(ds.rdd.map(r => (blockOf.value(r.id), r)))
+      .map { case (bid, group) =>
+        val recs = group.toVector.sortBy(_.id)
         val res  = fn(bid, recs)
         val (ids, cls) = res.assignment.toSeq.sortBy(_._1).unzip
         Outcome(bid, ids, cls, res.usage.apiCalls, res.usage.inputTokens,

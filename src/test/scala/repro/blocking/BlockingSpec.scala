@@ -98,17 +98,30 @@ class BlockingSpec extends SparkSpec with PropSupport {
       .zipWithIndex.map { case (t, i) => Record(i.toLong, i.toLong, t, Embed.embed(t)) }.toDS()
   }
 
+  /** The partition of `ids` that a block id per id induces. */
+  private def partitionOf(ids: Seq[Long], blockIds: Seq[Long]): Set[Set[Long]] =
+    ids.zip(blockIds).groupMap(_._2)(_._1).values.map(_.toSet).toSet
+
   test("block covers every record exactly once for each strategy") {
+    // `block` is a function of the id, so it covers every id by
+    // construction; what it must get right is the partition it induces,
+    // and the block ids, over every record of the data set.
     for ((data, n) <- Seq(ds -> mini.numRecords, oddTexts -> 8);
          strategy <- Seq(Blocking.LSH, Blocking.Filter, Blocking.Canopy, Blocking.NoBlocking)) {
-      val blocks = Blocking.block(spark, data, strategy, bt = 0.5)
-      assert(blocks.size == n, strategy.name)
-      assert(blocks.keySet == data.collect().map(_.id).toSet, strategy.name)
+      val ids = data.collect().map(_.id).toVector
+      assert(ids.size == n && ids.distinct.size == n, strategy.name)
+      val got = ids.map(Blocking.block(spark, data, strategy, bt = 0.5))
+      val expected =
+        if (strategy == Blocking.NoBlocking) ids.map(_ => 0L)
+        else ids.map(Blocking.componentsCapped(ids, Blocking.edges(spark, data, strategy, 0.5)))
+      assert(partitionOf(ids, got) == partitionOf(ids, expected), strategy.name)
+      assert(got == expected, strategy.name)
     }
   }
   test("NoBlocking puts everything in one block") {
-    val blocks = Blocking.block(spark, ds, Blocking.NoBlocking, 0.5)
-    assert(blocks.values.toSet.size == 1)
+    val ids = ds.collect().map(_.id).toVector
+    val got = ids.map(Blocking.block(spark, ds, Blocking.NoBlocking, 0.5))
+    assert(partitionOf(ids, got) == Set(ids.toSet))
   }
 
   test("tuneThreshold returns a threshold in (0,1) maximising pair F1") {
@@ -198,7 +211,7 @@ class BlockingSpec extends SparkSpec with PropSupport {
               val at = s"${profile.name} ${strategy.name} bt=$bt, $parts input partitions"
               val in = data.repartition(parts)
               assert(bits(Blocking.edges(spark, in, strategy, bt)) == bits(expected), s"edges differ, $at")
-              assert(Blocking.block(spark, in, strategy, bt) == Blocking.componentsCapped(ids, expected),
+              assert(ids.map(Blocking.block(spark, in, strategy, bt)) == ids.map(Blocking.componentsCapped(ids, expected)),
                      s"blocks differ, $at")
             }
           }

@@ -109,6 +109,23 @@ class LLMCERSpec extends SparkSpec {
     ds.unpersist()
   }
 
+  test("tunedThreshold and tunedFloor do not depend on the input partitioning, and keep their recorded values") {
+    // Both read the 600 smallest ids; AS-400 has 400 records, so the
+    // sample is the whole data set in id order. Pinned values, as raw
+    // bits, are those the sample gave when it was drawn by a sorted
+    // Dataset query: LSH 0.65 and 0.5567942671477795, Filter 0.25 and 2/9.
+    val ds = repro.data.ERGen.records(spark, DatasetProfile.mini(DatasetProfile.as, 400)).cache()
+    def bits(d: Double) = java.lang.Double.doubleToRawLongBits(d)
+    try for ((strategy, threshold, floor) <- Seq((Blocking.LSH, 4604029899060858061L, 4603190376453373952L),
+                                                 (Blocking.Filter, 4598175219545276416L, 4597174419628082972L));
+             parts <- Seq(1, 7)) {
+      val in = ds.repartition(parts)
+      assert(bits(LLMCER.tunedThreshold(in, strategy)) == threshold, s"${strategy.name}, $parts partitions")
+      assert(bits(LLMCER.tunedFloor(in, strategy)) == floor, s"${strategy.name}, $parts partitions")
+    }
+    finally ds.unpersist()
+  }
+
   test("baseline methods all produce full partitions on the mini dataset") {
     for (m <- Seq(Harness.MBooster, Harness.MBq, Harness.MCrowd)) {
       val row = Harness.run(spark, DatasetProfile.mini(DatasetProfile.citeseer, 150), m)
