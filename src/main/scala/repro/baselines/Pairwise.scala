@@ -14,8 +14,7 @@ import repro.llm.LLMClient
   */
 object Pairwise {
 
-  def resolveBlock(blockId: Long, block: Vector[Record], llm: LLMClient,
-                   useGuardrail: Boolean = true): BlockResult = {
+  def resolveBlock(blockId: Long, block: Vector[Record], llm: LLMClient): BlockResult = {
     val uf = new UnionFind(block.map(_.id))
     val pairs = (for {
       i <- block.indices; j <- i + 1 until block.size
@@ -24,13 +23,11 @@ object Pairwise {
     pairs.foreach { case (a, b) =>
       if (!uf.connected(a.id, b.id) && !uf.separated(a.id, b.id)) {
         var ans = llm.matchPair(a, b)
-        if (useGuardrail) {
-          // Guardrail: answer at odds with the similarity signal — re-ask
-          // with the pair order flipped (a fresh prompt).
-          val sim = a.cos(b)
-          val suspicious = (ans && sim < 0.35) || (!ans && sim > 0.9)
-          if (suspicious) ans = llm.matchPair(b, a)
-        }
+        // Guardrail: answer at odds with the similarity signal — re-ask
+        // with the pair order flipped (a fresh prompt).
+        val sim = a.cos(b)
+        val suspicious = (ans && sim < 0.35) || (!ans && sim > 0.9)
+        if (suspicious) ans = llm.matchPair(b, a)
         if (ans) uf.union(a.id, b.id)
         else uf.separate(a.id, b.id)
       }

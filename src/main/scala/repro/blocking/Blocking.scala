@@ -15,8 +15,9 @@ import repro.embed.Embed
   * record goes to a few buckets (LSH band signatures, or prefix tokens
   * for Filter and Canopy), and a bucket task groups its partition's
   * members by bucket in a local hash map, pairs each bucket's members and
-  * scores each pair with the data it already holds. Pairs below a
-  * similarity threshold are pruned in that task, and
+  * scores each pair with the data it already holds. Pairs with a
+  * similarity below the threshold bt are pruned in that task, the same
+  * rule for every strategy, and
   * blocks are the connected components of the surviving edges
   * (transitive block merging). Components are computed with a
   * driver-side union-find over the collected edge list — edge lists are
@@ -30,47 +31,52 @@ object Blocking {
   case object Canopy    extends Strategy { val name = "Canopy" }
   case object NoBlocking extends Strategy { val name = "NoBlocking" }
 
+  /** LSH banding: `Bands` bands of `Bits` random hyperplanes each, drawn
+    * from one generator seeded with `PlaneSeed`.
+    */
+  private final val Bands = 8
+  private final val Bits = 8
+  private final val PlaneSeed = 7L
+
   /** Candidate pairs (id_a < id_b) with cosine similarity, via
     * random-hyperplane LSH banding over the record embeddings: two
-    * records are candidates when all `bits` signs of some band agree.
+    * records are candidates when all `Bits` signs of some band agree.
     */
-  def lshCandidates(spark: SparkSession, ds: Dataset[Record],
-                    bands: Int = 8, bits: Int = 8, seed: Long = 7L): DataFrame = {
+  def lshCandidates(spark: SparkSession, ds: Dataset[Record]): DataFrame = {
     import spark.implicits._
-    lshPairs(spark, ds, bands, bits, seed)(_ => true).toDF("id_a", "id_b", "sim")
+    lshPairs(spark, ds)(_ => true).toDF("id_a", "id_b", "sim")
   }
 
   /** The LSH candidates whose cosine passes `keep`, as one bucket shuffle:
-    * each record computes its `bands` signatures once and is sent, with
+    * each record computes its `Bands` signatures once and is sent, with
     * its vector, to the bucket (band, signature) of each band. A bucket
     * task pairs its members and keeps a pair only in the first band where
     * the two signatures agree, so every candidate comes out exactly once,
     * and scores it with `Embed.cosine` on the vectors it already holds.
     */
-  private def lshPairs(spark: SparkSession, ds: Dataset[Record], bands: Int = 8, bits: Int = 8,
-                       seed: Long = 7L)(keep: Double => Boolean): RDD[(Long, Long, Double)] = {
+  private def lshPairs(spark: SparkSession, ds: Dataset[Record])(keep: Double => Boolean): RDD[(Long, Long, Double)] = {
     val dim = Embed.Dim
-    // Deterministic hyperplanes: bands*bits vectors of N(0,1)-ish values.
+    // Deterministic hyperplanes: Bands*Bits vectors of N(0,1)-ish values.
     val planes: Array[Array[Float]] = {
-      val rnd = new scala.util.Random(seed)
-      Array.fill(bands * bits)(Array.fill(dim)((rnd.nextGaussian()).toFloat))
+      val rnd = new scala.util.Random(PlaneSeed)
+      Array.fill(Bands * Bits)(Array.fill(dim)((rnd.nextGaussian()).toFloat))
     }
     val bc = spark.sparkContext.broadcast(planes)
     val members = ds.rdd.flatMap { r =>
       val ps = bc.value
-      val sigs = Array.tabulate(bands) { b =>
+      val sigs = Array.tabulate(Bands) { b =>
         var sig = 0L
         var k = 0
-        while (k < bits) {
+        while (k < Bits) {
           var s = 0.0; var d = 0
-          val p = ps(b * bits + k)
+          val p = ps(b * Bits + k)
           while (d < dim) { s += p(d) * r.vec(d); d += 1 }
           if (s >= 0) sig |= (1L << k)
           k += 1
         }
         sig
       }
-      Iterator.tabulate(bands)(b => ((b, sigs(b)), (r.id, r.vec, sigs)))
+      Iterator.tabulate(Bands)(b => ((b, sigs(b)), (r.id, r.vec, sigs)))
     }
     bucketPairs(members) { (bucket, a, b) =>
       if (firstAgreeingBand(a._3, b._3) != bucket._1) None
@@ -139,31 +145,28 @@ object Blocking {
   }
 
   /** Canopy blocking [McCallum et al.]: a cheap first-attribute token
-    * overlap forms canopies (loose threshold ms) and tight blocks
-    * (bs >= ms); within canopies a refined all-attribute Jaccard decides
-    * matches which then merge blocks transitively. Canopy members are
-    * found with the prefix join at `ms`, which finds every pair whose
-    * cheap Jaccard is at least `ms`. `sim` is the larger of the cheap
-    * and the refined Jaccard.
+    * overlap forms canopies (loose threshold ms); a canopy member's `sim`
+    * is the larger of the cheap and a refined all-attribute Jaccard, and
+    * `block` links it by the one rule of every strategy, `sim >= bt`.
+    * Canopy members are found with the prefix join at `ms`, which finds
+    * every pair whose cheap Jaccard is at least `ms`.
     */
-  def canopyCandidates(spark: SparkSession, ds: Dataset[Record],
-                       bs: Double, ms: Double): DataFrame = {
+  def canopyCandidates(spark: SparkSession, ds: Dataset[Record], ms: Double): DataFrame = {
     import spark.implicits._
-    canopyPairs(spark, ds, bs, ms)((_, _) => true).toDF("id_a", "id_b", "sim", "cheap")
+    canopyPairs(spark, ds, ms)(_ => true).toDF("id_a", "id_b", "sim", "cheap")
   }
 
-  /** The canopy members at `ms` (cheap Jaccard above `ms`) whose
-    * (cheap, refined) Jaccards pass `keep`, as (id_a, id_b, sim, cheap).
+  /** The canopy members at `ms` (cheap Jaccard above `ms`) whose `sim`
+    * passes `keep`, as (id_a, id_b, sim, cheap).
     */
-  private def canopyPairs(spark: SparkSession, ds: Dataset[Record], bs: Double, ms: Double)(
-      keep: (Double, Double) => Boolean): RDD[(Long, Long, Double, Double)] = {
-    require(bs >= ms, s"canopy needs bs >= ms, got $bs < $ms")
+  private def canopyPairs(spark: SparkSession, ds: Dataset[Record], ms: Double)(
+      keep: Double => Boolean): RDD[(Long, Long, Double, Double)] = {
     // Cheap metric: Jaccard over the first attribute's tokens only;
     // refined: over the whole text's.
     val sets = ds.rdd.map { r =>
       (r.id, Embed.tokens(r.text.takeWhile(_ != '|')).distinct, Embed.tokens(r.text).distinct)
     }
-    prefixJoin(spark, sets, ms)((cheap, refined) => cheap > ms && keep(cheap, refined))
+    prefixJoin(spark, sets, ms)((cheap, refined) => cheap > ms && keep(math.max(cheap, refined)))
       .map { case (a, b, cheap, refined) => (a, b, math.max(cheap, refined), cheap) }
   }
 
@@ -269,12 +272,11 @@ object Blocking {
     * a record with no edge is its own block, keyed by its id, which is
     * the block id `componentsCapped` over all ids gives it too.
     *
-    * The threshold is applied in the bucket task, so pruned pairs never
-    * leave it: LSH and Filter keep `sim >= bt`, Canopy keeps a canopy
-    * member if `cheap >= bs` or `sim >= bt`. Similarities are cosines of
-    * finite floats or Jaccards in [0, 1], never NaN, so these Scala
-    * comparisons keep exactly the rows the same SQL `>=` filters on the
-    * public candidate DataFrames keep.
+    * Every strategy links two records when `sim >= bt`. The threshold is
+    * applied in the bucket task, so pruned pairs never leave it.
+    * Similarities are cosines of finite floats or Jaccards in [0, 1],
+    * never NaN, so this Scala comparison keeps exactly the rows the same
+    * SQL `>=` filter on the public candidate DataFrames keeps.
     */
   def block(spark: SparkSession, ds: Dataset[Record], strategy: Strategy, bt: Double): Long => Long =
     strategy match {
@@ -293,10 +295,8 @@ object Blocking {
     case LSH        => lshPairs(spark, ds)(_ >= bt).collect().toSeq
     case Filter     => filterPairs(spark, ds, bt)(_ >= bt).collect().toSeq
     case Canopy     =>
-      val bs = math.min(0.95, bt + 0.15)
-      canopyPairs(spark, ds, bs, ms = math.max(0.05, bt - 0.15)) { (cheap, refined) =>
-        cheap >= bs || math.max(cheap, refined) >= bt
-      }.map { case (a, b, sim, _) => (a, b, sim) }.collect().toSeq
+      canopyPairs(spark, ds, ms = math.max(0.05, bt - 0.15))(_ >= bt)
+        .map { case (a, b, sim, _) => (a, b, sim) }.collect().toSeq
   }
 
   /** Tune the similarity threshold bt on a labeled validation sample

@@ -4,7 +4,8 @@ import repro.llm.LLMClient
 
 /** Algorithm 4's per-block loop: NRS record sets → LLM in-context
   * clustering (with MDG + regeneration) → hierarchical CMR merging,
-  * until anti-transitivity stops all merging. Runs entirely inside one
+  * until anti-transitivity stops all merging. Every answer, at every
+  * level, is applied by `CMR.applyAnswer`. Runs entirely inside one
   * Spark task per block (blocks are small), returning local cluster
   * assignments and telemetry.
   */
@@ -58,7 +59,12 @@ object BlockResolver {
     Guarded(result, calls, Set.empty)
   }
 
-  /** Resolve one block end-to-end. */
+  /** Resolve one block end-to-end. Every level asks its sets with the
+    * guardrail and applies each answer with `CMR.applyAnswer`; level 0
+    * asks about the records as singleton clusters. The clusters an answer
+    * forms are named by the level: level 0 numbers each afresh, later
+    * levels keep an unmerged cluster's id and number a merged one afresh.
+    */
   def resolve(blockId: Long, block: Vector[Record], llm: LLMClient, p: ERParams,
               fewShot: Int = 0): BlockResult = {
     if (block.size <= 1) {
@@ -66,32 +72,30 @@ object BlockResolver {
     }
 
     var idCounter = 0L
-    def nextId(): Long = { idCounter += 1; idCounter }
+    def fresh(g: Vector[CMR.HCluster]): CMR.HCluster = {
+      idCounter += 1
+      CMR.HCluster(idCounter, g.flatMap(_.members))
+    }
 
     // Each cluster is one component; separations are anti-transitivity.
     val uf           = new UnionFind(block.map(_.id))
     val setsPerLevel = Vector.newBuilder[Int]
 
-    // ---- Level 0: NRS record sets over the raw records ----
-    val level0Sets = NRS.allSets(block, p)
-    var level0Calls = 0
-    var clusters: Vector[CMR.HCluster] = level0Sets.flatMap { set =>
-      val g = clusterWithGuardrail(set, llm, p, fewShot)
-      level0Calls += g.calls
-      val hcs = g.result.clusters.map { members =>
-        members.tail.foreach(r => uf.union(members.head.id, r.id))
-        CMR.HCluster(nextId(), members)
+    /** Ask each set and apply its answer; the groups each set formed. */
+    def ask(sets: Vector[Vector[CMR.HCluster]]): Vector[Vector[Vector[CMR.HCluster]]] = {
+      var calls = 0
+      val out = sets.map { set =>
+        val g = clusterWithGuardrail(set.map(_.rep), llm, p, fewShot)
+        calls += g.calls
+        CMR.applyAnswer(set, g.result, uf, g.suspects)
       }
-      // Anti-transitivity between the distinct clusters of one answer —
-      // except suspect singletons, whose placement was discarded.
-      def suspect(c: CMR.HCluster) = c.members.size == 1 && g.suspects(c.members.head.id)
-      for {
-        i <- hcs.indices; j <- hcs.indices if i < j
-        if !suspect(hcs(i)) && !suspect(hcs(j))
-      } CMR.separate(uf, hcs(i), hcs(j))
-      hcs
+      setsPerLevel += calls
+      out
     }
-    setsPerLevel += level0Calls
+
+    // ---- Level 0: NRS record sets over the raw records ----
+    var clusters = ask(NRS.allSets(block, p).map(_.map(r => CMR.HCluster(r.id, Vector(r)))))
+      .flatten.map(fresh)
 
     // ---- Hierarchical merging levels ----
     var level    = 0
@@ -102,20 +106,10 @@ object BlockResolver {
       val (sets, leftovers) = CMR.nextRoundSets(clusters, uf, p)
       if (sets.isEmpty) { progress = false }
       else {
-        var calls   = 0
-        var merges  = 0
-        val merged  = Vector.newBuilder[CMR.HCluster]
-        sets.foreach { inputSet =>
-          val reps = inputSet.map(_.rep)
-          val g = clusterWithGuardrail(reps, llm, p, fewShot)
-          calls += g.calls
-          val out = CMR.applyAnswer(inputSet, g.result, uf, () => nextId(), g.suspects)
-          if (out.size < inputSet.size) merges += inputSet.size - out.size
-          merged ++= out
-        }
-        setsPerLevel += calls
-        clusters = merged.result() ++ leftovers
-        if (merges == 0) progress = false // exit condition: only singletons emerged
+        val groups = ask(sets)
+        clusters = groups.flatten.map(g => if (g.size == 1) g.head else fresh(g)) ++ leftovers
+        // exit condition: only singletons emerged
+        progress = sets.zip(groups).exists { case (in, out) => out.size < in.size }
       }
     }
 

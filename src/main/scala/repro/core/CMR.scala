@@ -91,38 +91,27 @@ object CMR {
     (sets.result(), left.result())
   }
 
-  /** Apply one LLM answer over a set of representatives: co-clustered
-    * representatives merge their clusters (a union in `uf`); every
-    * unmerged co-input pair becomes a recorded separation. Returns the
-    * set's merged clusters.
+  /** Apply one LLM answer over a set of clusters — the one step that
+    * turns an answer into `uf` facts, at every level (level 0 asks about
+    * singleton clusters). The clusters whose representatives the answer
+    * groups together become one component of `uf`, and each pair of
+    * groups is recorded as separated, except a suspect group (one cluster
+    * whose representative's placement the guardrail discarded), which
+    * carries no separation evidence. Returns the groups in answer order; the caller
+    * names the clusters they form.
     */
   def applyAnswer(
       inputSet: Vector[HCluster],
-      repClusters: Clustering,
+      answer: Clustering,
       uf: UnionFind,
-      nextId: () => Long,
-      suspects: Set[Long] = Set.empty,
-  ): Vector[HCluster] = {
+      suspects: Set[Long],
+  ): Vector[Vector[HCluster]] = {
     val byRep = inputSet.map(c => c.rep.id -> c).toMap
-    val groups: Vector[Vector[HCluster]] =
-      repClusters.clusters.map(_.flatMap(r => byRep.get(r.id)))
-        .filter(_.nonEmpty)
-    // Record anti-transitivity between the groups of this answer —
-    // skipping suspect groups (guardrail-discarded placements carry no
-    // separation evidence).
-    def isSuspect(g: Vector[HCluster]) =
-      g.size == 1 && suspects(g.head.rep.id)
-    for {
-      i <- groups.indices; j <- groups.indices if i < j
-      if !isSuspect(groups(i)) && !isSuspect(groups(j))
-      a <- groups(i); b <- groups(j)
-    } separate(uf, a, b)
-    groups.map { g =>
-      if (g.size == 1) g.head
-      else {
-        g.tail.foreach(c => uf.union(g.head.members.head.id, c.members.head.id))
-        HCluster(nextId(), g.flatMap(_.members))
-      }
-    }
+    val groups = answer.clusters.map(_.flatMap(r => byRep.get(r.id))).filter(_.nonEmpty)
+    groups.foreach(g => g.tail.foreach(c => uf.union(g.head.members.head.id, c.members.head.id)))
+    // A separation named by any member reaches the whole merged component.
+    val trusted = groups.filterNot(g => g.size == 1 && suspects(g.head.rep.id))
+    for (i <- trusted.indices; j <- i + 1 until trusted.size) separate(uf, trusted(i).head, trusted(j).head)
+    groups
   }
 }

@@ -32,11 +32,6 @@ object LLMCER {
     */
   type BlockFn = (Long, Vector[Record]) => BlockResult
 
-  /** Per-block outcome, shipped back from the resolve task. */
-  private final case class Outcome(
-      block_id: Long, ids: Seq[Long], clusters: Seq[Int],
-      apiCalls: Long, inTok: Long, outTok: Long, latMs: Double, levels: Seq[Int])
-
   /** Tune the blocking threshold on a labeled sample (§5.1). */
   def tunedThreshold(ds: Dataset[Record], strategy: Blocking.Strategy): Double = {
     val sample = validationSample(ds)
@@ -85,26 +80,20 @@ object LLMCER {
               fn: BlockFn, btOverride: Option[Double] = None): ERResult = {
     val bt = btOverride.getOrElse(tunedThreshold(ds, strategy))
     val blockOf = spark.sparkContext.broadcast(Blocking.block(spark, ds, strategy, bt))
-    val outcomes = Blocking.groupInTask(ds.rdd.map(r => (blockOf.value(r.id), r)))
-      .map { case (bid, group) =>
-        val recs = group.toVector.sortBy(_.id)
-        val res  = fn(bid, recs)
-        val (ids, cls) = res.assignment.toSeq.sortBy(_._1).unzip
-        Outcome(bid, ids, cls, res.usage.apiCalls, res.usage.inputTokens,
-                res.usage.outputTokens, res.usage.latencyMs, res.setsPerLevel)
-      }
+    val results = Blocking.groupInTask(ds.rdd.map(r => (blockOf.value(r.id), r)))
+      .map { case (bid, group) => bid -> fn(bid, group.toVector.sortBy(_.id)) }
       .collect()
-      .sortBy(_.block_id)
+      .sortBy(_._1)
       .toVector
+      .map(_._2)
 
-    val partition = outcomes.flatMap { o =>
-      o.ids.zip(o.clusters).groupBy(_._2).values.map(_.map(_._1).toSet)
+    val partition = results.flatMap { res =>
+      res.assignment.toSeq.sortBy(_._1).groupBy(_._2).values.map(_.map(_._1).toSet)
     }
-    val usage = outcomes.map(o => Usage(o.apiCalls, o.inTok, o.outTok, o.latMs))
-      .foldLeft(Usage.zero)(_ + _)
-    val maxLv = outcomes.map(_.levels.size).maxOption.getOrElse(0)
+    val usage = results.map(_.usage).foldLeft(Usage.zero)(_ + _)
+    val maxLv = results.map(_.setsPerLevel.size).maxOption.getOrElse(0)
     val levels = Vector.tabulate(maxLv)(i =>
-      outcomes.map(o => if (i < o.levels.size) o.levels(i) else 0).sum)
-    ERResult(partition, usage, levels, outcomes.size)
+      results.map(r => if (i < r.setsPerLevel.size) r.setsPerLevel(i) else 0).sum)
+    ERResult(partition, usage, levels, results.size)
   }
 }

@@ -5,8 +5,8 @@ package repro.core
   * `separate` records "different entities" between two components; a
   * separation holds for every later superset of either component. Used
   * by CMR's merge hierarchy, the pairwise/BQ/CrowdER baselines'
-  * combining phase, Booster's candidate partitions and canopy blocking's
-  * block merging.
+  * combining phase, Booster's candidate partitions and
+  * `Blocking.componentsCapped`'s block merging for every strategy.
   */
 final class UnionFind(ids: Iterable[Long]) {
   private val parent = scala.collection.mutable.Map.empty[Long, Long]

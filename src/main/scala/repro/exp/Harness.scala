@@ -49,7 +49,7 @@ object Harness {
     * gets a fresh client, so a block's usage is its client's usage.
     */
   def blockFn(method: Method, params: ERParams, cfg: LLMConfig, fewShot: Int,
-              bt: Double, floor: Double = 0.0): LLMCER.BlockFn = method match {
+              bt: Double, floor: Double): LLMCER.BlockFn = method match {
     case MCer =>
       val p = if (params.coherenceFloor > 0) params
               else params.copy(coherenceFloor = if (floor > 0) floor else 0.8 * bt)

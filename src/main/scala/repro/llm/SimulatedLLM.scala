@@ -74,7 +74,9 @@ final class SimulatedLLM(cfg: LLMConfig = LLMConfig.default) extends LLMClient w
     perturb(set, fewShot, rngFor(set, 0x5eed))
   }
 
-  /** The perturbation core — shared by clusterSet and batch modes. */
+  /** The perturbation core of `clusterSet`: truth, then record- and
+    * call-level errors drawn from `rnd`.
+    */
   private def perturb(set: Vector[Record], fewShot: Int, rnd: scala.util.Random): Clustering = {
     val truthGroups = set.groupBy(_.entityId)
     val amb         = ambiguities(set)

@@ -71,11 +71,8 @@ class BlockingSpec extends SparkSpec with PropSupport {
     }
   }
 
-  test("canopy respects bs >= ms and produces scored candidates") {
-    intercept[IllegalArgumentException] {
-      Blocking.canopyCandidates(spark, ds, bs = 0.3, ms = 0.5)
-    }
-    val c = Blocking.canopyCandidates(spark, ds, bs = 0.6, ms = 0.3)
+  test("canopy produces scored candidates") {
+    val c = Blocking.canopyCandidates(spark, ds, ms = 0.3)
     assert(c.columns.toSet == Set("id_a", "id_b", "sim", "cheap"))
     assert(c.count() > 0)
   }
@@ -175,7 +172,9 @@ class BlockingSpec extends SparkSpec with PropSupport {
 
   /** The edges `block` linked records with when it thresholded the public
     * candidate DataFrames in SQL, as it did before the threshold moved
-    * into the bucket task.
+    * into the bucket task. Canopy keeps its rule of that time, a member
+    * with `cheap >= bs` or `sim >= bt`: `sim >= bt` alone must keep the
+    * same edges, since `sim >= cheap` and `bs >= bt`.
     */
   private def sqlEdges(data: Dataset[Record], strategy: Blocking.Strategy, bt: Double): Vector[(Long, Long, Double)] = {
     import spark.implicits._
@@ -183,7 +182,7 @@ class BlockingSpec extends SparkSpec with PropSupport {
       case Blocking.LSH    => Blocking.lshCandidates(spark, data).where(col("sim") >= bt)
       case Blocking.Filter => Blocking.filterCandidates(spark, data, bt).where(col("sim") >= bt)
       case Blocking.Canopy =>
-        Blocking.canopyCandidates(spark, data, bs = math.min(0.95, bt + 0.15), ms = math.max(0.05, bt - 0.15))
+        Blocking.canopyCandidates(spark, data, ms = math.max(0.05, bt - 0.15))
           .where(col("cheap") >= math.min(0.95, bt + 0.15) || col("sim") >= bt)
     }
     kept.select("id_a", "id_b", "sim").as[(Long, Long, Double)].collect().toVector
@@ -200,7 +199,7 @@ class BlockingSpec extends SparkSpec with PropSupport {
       try {
         val ids = data.collect().map(_.id).toSeq
         for (strategy <- Seq(Blocking.LSH, Blocking.Filter, Blocking.Canopy)) {
-          // 0.35 puts Canopy's bs at 0.5; the median kept score at 0.5 is
+          // 0.35 puts the SQL side's Canopy bs at 0.5; the median kept score at 0.5 is
           // a threshold some candidate's score equals exactly.
           val atHalf = sqlEdges(data, strategy, 0.5).map(_._3).sorted
           val tie    = atHalf(atHalf.size / 2)

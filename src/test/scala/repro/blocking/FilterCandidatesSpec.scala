@@ -61,7 +61,7 @@ class FilterCandidatesSpec extends SparkSpec {
     val ds = ERGen.records(spark, DatasetProfile.mini(DatasetProfile.alaska, 600)).cache()
     try for ((bs, ms) <- Seq((0.4, 0.1), (0.8, 0.5), (0.95, 0.8)))
       checkAgainst(ds, s"bs=$bs ms=$ms")(CanopyReference.canopyCandidates(spark, _, bs, ms),
-                                         Blocking.canopyCandidates(spark, _, bs, ms))
+                                         Blocking.canopyCandidates(spark, _, ms))
     finally ds.unpersist()
   }
 
@@ -75,7 +75,7 @@ class FilterCandidatesSpec extends SparkSpec {
       checkAgainst(ds, s"filter bt=$t", Seq((3, 64)))(FilterReference.filterCandidates(spark, _, t),
                                                       Blocking.filterCandidates(spark, _, t))
       checkAgainst(ds, s"canopy ms=$t", Seq((3, 64)))(CanopyReference.canopyCandidates(spark, _, 0.95, t),
-                                                      Blocking.canopyCandidates(spark, _, 0.95, t))
+                                                      Blocking.canopyCandidates(spark, _, t))
     }
   }
 }

@@ -1,15 +1,20 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.PropSupport
 import repro.data.{DatasetProfile, ERGen}
 import repro.llm.{LLMConfig, SimulatedLLM}
 
-class BlockResolverSpec extends AnyFunSuite {
+class BlockResolverSpec extends AnyFunSuite with PropSupport {
 
   private val recs = ERGen.recordsLocal(DatasetProfile.mini(DatasetProfile.citeseer, 300))
   /** A perfect-oracle configuration: no hallucination, no confusion. */
   private val oracleCfg = LLMConfig(hallBase = 0.0, mergeHallBase = 0.0,
                                     giantMergeBase = 0.0, bias = 30.0)
+  /** A giant-merge-always configuration: every call returns one cluster. */
+  private val giantCfg = LLMConfig(hallBase = 0.0, mergeHallBase = 0.0,
+                                   giantMergeBase = 1.0, bias = 30.0)
   private val p = ERParams(coherenceFloor = 0.5)
 
   private def blockOf(nEnts: Int, per: Int): Vector[Record] =
@@ -73,9 +78,6 @@ class BlockResolverSpec extends AnyFunSuite {
   }
 
   test("guardrail fallback splits flagged records instead of accepting bad merges") {
-    // giant-merge-always LLM: every call returns one cluster.
-    val giantCfg = LLMConfig(hallBase = 0.0, mergeHallBase = 0.0,
-                             giantMergeBase = 1.0, bias = 30.0)
     val block = recs.groupBy(_.entityId).values.map(_.head).take(6).toVector // all distinct
     val res = BlockResolver.resolve(8, block, new SimulatedLLM(giantCfg),
                                     p.copy(coherenceFloor = 0.7))
@@ -90,5 +92,30 @@ class BlockResolverSpec extends AnyFunSuite {
     val r2 = BlockResolver.resolve(9, block, new SimulatedLLM(), p)
     assert(r1.assignment == r2.assignment)
     assert(r1.usage == r2.usage)
+  }
+
+  test("resolve equals the reference loop on random blocks, guardrail settings and clients") {
+    // Runs of same-entity records (merges to make) or scattered draws
+    // (mostly distinct entities), in id order as `LLMCER.runWith` hands them.
+    val pools = Vector(DatasetProfile.cora, DatasetProfile.mini(DatasetProfile.as, 600))
+      .map(ERGen.recordsLocal(_)) :+ recs
+    val byEntity = pools.map(_.sortBy(r => (r.entityId, r.id)))
+    val blocks = for {
+      k     <- Gen.choose(0, pools.size - 1)
+      n     <- Gen.choose(2, 60)
+      block <- Gen.oneOf(Gen.choose(0, pools(k).size - n).map(i => byEntity(k).slice(i, i + n)),
+                         Gen.pick(n, pools(k)).map(_.toVector))
+    } yield block.sortBy(_.id)
+    val params = for {
+      mdg    <- Gen.oneOf(true, false)
+      floor  <- Gen.choose(0.2, 0.9)
+      regens <- Gen.choose(0, 2)
+    } yield ERParams(useMDG = mdg, coherenceFloor = floor, maxRegens = regens)
+    val clients = Gen.oneOf("default" -> LLMConfig.default, "oracle" -> oracleCfg, "giant" -> giantCfg)
+    checkProp(Prop.forAllNoShrink(blocks, params, clients) { case (block, q, (name, cfg)) =>
+      val got  = BlockResolver.resolve(0, block, new SimulatedLLM(cfg), q)
+      val want = BlockResolverReference.resolve(0, block, new SimulatedLLM(cfg), q)
+      Prop(got == want) :| s"$name $q ${block.map(_.id)}: $got vs reference $want"
+    }, minTests = 200)
   }
 }

@@ -79,26 +79,27 @@ class CMRSpec extends AnyFunSuite {
   test("applyAnswer merges co-clustered representatives") {
     val x = hc(1, a1); val y = hc(2, a2); val z = hc(3, b1)
     val uf = ufOf(x, y, z)
-    var next = 100L
     val answer = Clustering(Vector(Vector(x.rep, y.rep), Vector(z.rep)))
-    val out = CMR.applyAnswer(Vector(x, y, z), answer, uf, () => { next += 1; next })
-    assert(out.size == 2)
-    val merged = out.find(_.members.size == 2).get
-    assert(merged.members.map(_.id).sorted == Vector(1L, 2L))
-    assert(merged.id == 101L)
+    val out = CMR.applyAnswer(Vector(x, y, z), answer, uf, Set.empty)
+    assert(out == Vector(Vector(x, y), Vector(z)))
     assert(uf.connected(a1.id, a2.id) && !uf.connected(a1.id, b1.id))
-    assert(CMR.separated(uf, merged, z))
+    val merged = hc(101, a1, a2)
+    assert(CMR.separated(uf, merged, z) && CMR.separated(uf, x, z) && CMR.separated(uf, y, z))
   }
   test("applyAnswer records anti-transitivity between unmerged groups") {
     val x = hc(1, a1); val z = hc(3, b1)
     val uf = ufOf(x, z)
     val answer = Clustering(Vector(Vector(x.rep), Vector(z.rep)))
-    CMR.applyAnswer(Vector(x, z), answer, uf, () => 99L)
+    assert(CMR.applyAnswer(Vector(x, z), answer, uf, Set.empty) == Vector(Vector(x), Vector(z)))
     assert(CMR.separated(uf, x, z))
+    // A suspect singleton group carries no separation.
+    val uf2 = ufOf(x, z)
+    CMR.applyAnswer(Vector(x, z), answer, uf2, Set(z.rep.id))
+    assert(!CMR.separated(uf2, x, z))
   }
   test("applyAnswer leaves singleton groups untouched") {
     val x = hc(1, a1)
-    val out = CMR.applyAnswer(Vector(x), Clustering(Vector(Vector(x.rep))), ufOf(x), () => 99L)
-    assert(out == Vector(x))
+    val out = CMR.applyAnswer(Vector(x), Clustering(Vector(Vector(x.rep))), ufOf(x), Set.empty)
+    assert(out == Vector(Vector(x)))
   }
 }
