@@ -1,6 +1,10 @@
 package repro.core
 
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
+import scala.collection.mutable
+import scala.reflect.ClassTag
 import repro.blocking.Blocking
 import repro.embed.Embed
 
@@ -18,7 +22,7 @@ final case class ERResult(
   * Dataflow: threshold and floor tuning read one validation sample, the
   * 600 smallest ids, drawn with `takeOrdered` on the records' RDD.
   * Blocking produces a record id -> block id function, which is
-  * broadcast; one RDD shuffle (`Blocking.groupInTask`) groups records by
+  * broadcast; one RDD shuffle (`groupInTask`) groups records by
   * block, hashed into one partition per core (adaptive execution does not
   * coalesce it) and grouped in the reduce task, and each group is
   * resolved by a per-block function running in the executor task (the
@@ -46,7 +50,9 @@ object LLMCER {
 
   /** The strategy's similarity over records of `sample`: cosine for LSH,
     * token Jaccard otherwise, with each record's distinct tokens interned
-    * once as a sorted array of ids.
+    * once as an array of ids. A Jaccard marks the first record's tokens
+    * in a stamp array of the calling thread, kept while the calls go on
+    * with the same first record, as a tuner's row loop makes them.
     */
   private def simOf(strategy: Blocking.Strategy, sample: Vector[Record]): (Record, Record) => Double =
     strategy match {
@@ -54,10 +60,29 @@ object LLMCER {
       case _ =>
         val ids  = scala.collection.mutable.HashMap.empty[String, Int]
         val toks = sample.iterator.map { r =>
-          r.id -> Embed.tokens(r.text).distinct.map(t => ids.getOrElseUpdate(t, ids.size)).sorted.toArray
+          r.id -> Embed.tokens(r.text).distinct.map(t => ids.getOrElseUpdate(t, ids.size)).toArray
         }.toMap
-        (a, b) => Blocking.jaccard(toks(a.id), toks(b.id))
+        val stamps = ThreadLocal.withInitial(() => new Stamps(ids.size))
+        (a, b) => stamps.get.jaccard(toks(a.id), toks(b.id))
     }
+
+  /** Token-id marks for the intersections of one set with many. */
+  private final class Stamps(tokens: Int) {
+    private val mark = new Array[Int](tokens)
+    private var stamp = 0
+    private var marked: Array[Int] = null
+
+    /** `Embed.jaccard` of two distinct token-id sets: the same arithmetic,
+      * and 1 for two empty sets.
+      */
+    def jaccard(a: Array[Int], b: Array[Int]): Double = {
+      if (a.length == 0 && b.length == 0) return 1.0
+      if (!(marked eq a)) { stamp += 1; a.foreach(mark(_) = stamp); marked = a }
+      var inter = 0
+      b.foreach(t => if (mark(t) == stamp) inter += 1)
+      inter.toDouble / (a.length + b.length - inter)
+    }
+  }
 
   /** MDG coherence floor: the 5th percentile of same-entity pair
     * similarities on the validation sample. Catches merge-hallucination
@@ -66,13 +91,20 @@ object LLMCER {
     */
   def tunedFloor(ds: Dataset[Record], strategy: Blocking.Strategy): Double = {
     val sample = validationSample(ds)
-    val sim = simOf(strategy, sample)
-    val sameSims = (for {
-      i <- sample.indices; j <- i + 1 until sample.size
-      if sample(i).entityId == sample(j).entityId
-    } yield sim(sample(i), sample(j))).sorted
+    floorOf(sample, simOf(strategy, sample))
+  }
+
+  /** The floor of `tunedFloor` on `sample`: the similarities of its
+    * same-entity pairs, found entity by entity, sorted, at index
+    * 5% of their count; 0.3 when there is no such pair.
+    */
+  private[core] def floorOf(sample: Vector[Record], sim: (Record, Record) => Double): Double = {
+    val sameSims = sample.groupBy(_.entityId).valuesIterator.flatMap { g =>
+      for (i <- Iterator.range(0, g.size); j <- Iterator.range(i + 1, g.size)) yield sim(g(i), g(j))
+    }.toArray
+    java.util.Arrays.sort(sameSims)
     if (sameSims.isEmpty) 0.3
-    else sameSims(math.max(0, (0.05 * sameSims.size).toInt))
+    else sameSims(math.max(0, (0.05 * sameSims.length).toInt))
   }
 
   /** Generic run: block, then resolve each block with `fn`. */
@@ -80,7 +112,7 @@ object LLMCER {
               fn: BlockFn, btOverride: Option[Double] = None): ERResult = {
     val bt = btOverride.getOrElse(tunedThreshold(ds, strategy))
     val blockOf = spark.sparkContext.broadcast(Blocking.block(spark, ds, strategy, bt))
-    val results = Blocking.groupInTask(ds.rdd.map(r => (blockOf.value(r.id), r)))
+    val results = groupInTask(ds.rdd.map(r => (blockOf.value(r.id), r)))
       .map { case (bid, group) => bid -> fn(bid, group.toVector.sortBy(_.id)) }
       .collect()
       .sortBy(_._1)
@@ -96,4 +128,19 @@ object LLMCER {
       results.map(r => if (i < r.setsPerLevel.size) r.setsPerLevel(i) else 0).sum)
     ERResult(partition, usage, levels, results.size)
   }
+
+  /** `pairs` grouped by key, as one RDD shuffle into `defaultParallelism`
+    * partitions (one per core; adaptive execution does not coalesce it).
+    * The shuffle has no aggregator and no key ordering, so its writer and
+    * reader keep no size-tracked map; each reduce task groups its whole
+    * partition in a local hash map, in memory, before it hands out the
+    * first group. Groups come out in no particular order, their values in
+    * arrival order.
+    */
+  private def groupInTask[K: ClassTag, V: ClassTag](pairs: RDD[(K, V)]): RDD[(K, mutable.ArrayBuffer[V])] =
+    pairs.partitionBy(new HashPartitioner(pairs.sparkContext.defaultParallelism)).mapPartitions { it =>
+      val groups = mutable.HashMap.empty[K, mutable.ArrayBuffer[V]]
+      it.foreach { case (k, v) => groups.getOrElseUpdate(k, mutable.ArrayBuffer.empty[V]) += v }
+      groups.iterator
+    }
 }
