@@ -1,18 +1,12 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.{DatasetProfile, ERGen}
+import repro.data.DatasetProfile
+import repro.jobs.Table1Job
 
 /** Table 1 — dataset statistics: our generated datasets vs the paper's. */
 class Table1Bench extends AnyFunSuite {
   test("Table 1: dataset statistics") {
-    println("== Table 1: dataset statistics (paper -> ours) ==")
-    DatasetProfile.all.foreach { p =>
-      val sizes = ERGen.entitySizes(p)
-      val kinds = p.attrCountsByKind.toSeq.sorted.map { case (k, n) => s"$k($n)" }.mkString(",")
-      println(f"${p.name}%-10s #Rec=${p.numRecords}%6d #Ent=${p.numEntities}%6d " +
-        f"Ed=${sizes.sum.toDouble / sizes.length}%5.1f #Attr=${p.attrs.size}%2d types=$kinds")
-      assert(sizes.sum == p.numRecords)
-    }
+    for ((name, sizes) <- Table1Job.table()) assert(sizes.sum == DatasetProfile.byName(name).numRecords, name)
   }
 }

@@ -1,8 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.DatasetProfile
-import repro.exp.{Harness, Tables}
+import repro.jobs.Table2Job
 
 /** Table 2 — in-context clustering (Ss=9) vs pairwise matching (Ss=2),
   * and Table 3 — record sets per hierarchy level (same runs).
@@ -10,18 +9,9 @@ import repro.exp.{Harness, Tables}
 class Table2Bench extends SparkSpec {
 
   test("Tables 2+3: pairwise vs clustering on Cora, Alaska, AS") {
-    println("== Table 2: pairwise (Ss=2) vs in-context clustering (Ss=9) ==")
-    for (name <- Seq("Cora", "Alaska", "AS")) {
-      val p = DatasetProfile.byName(name)
-      val clu  = Harness.run(spark, p, Harness.MCer)
-      val pair = Harness.run(spark, p, Harness.MPair)
-      for ((mode, row) <- Seq("pairwise" -> pair, "clustering" -> clu)) {
-        val (pAcc, pFp, pCost, pTok, pTime, pCalls) = Tables.table2Paper((name, mode))
-        println(Tables.fmtRow(s"$name/$mode",
-          f"ACC=$pAcc%.2f FP=$pFp%.2f $$$pCost%.2f ${pTok}%.2fM ${pTime}%.0fmin ${pCalls}%.2fK",
-          f"ACC=${row.acc}%.2f FP=${row.fp}%.2f $$${row.costUsd}%.2f ${row.tokensM}%.2fM " +
-          f"${row.timeMin}%.0fmin ${row.apiCalls / 1000.0}%.2fK"))
-      }
+    val rows = Table2Job.table(spark)
+    for (name <- Table2Job.datasets) {
+      val pair = rows((name, "pairwise")); val clu = rows((name, "clustering"))
       // Table 2's headline: clustering slashes calls/tokens/cost/time.
       // (Our size-capped blocks already bound the pairwise explosion, so
       // the reduction factor is smaller than the paper's 12-108x; AS's
@@ -33,12 +23,7 @@ class Table2Bench extends SparkSpec {
       // unusually strong (ACC ~0.82 vs the paper's 0.70) while clustering
       // sits at ~0.74 — see EXPERIMENTS.md.
       assert(clu.acc >= pair.acc - 0.10, s"$name: clustering quality regressed")
-
-      val paperLv = Tables.table3Paper(name)
-      println(Tables.fmtRow(s"Table3 $name levels",
-        paperLv.mkString(","), clu.setsPerLevel.mkString(",")))
-      assert(clu.setsPerLevel.head == clu.setsPerLevel.max,
-        s"$name: level 0 should dominate")
+      assert(clu.setsPerLevel.head == clu.setsPerLevel.max, s"$name: level 0 should dominate")
     }
   }
 }

@@ -1,55 +1,24 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.data.{Categorical, DatasetProfile, Numeric, Textual}
-import repro.exp.{Sweeps, Tables}
+import repro.jobs.Table5Job
 
 /** Table 5 — optimal key-factor values (Ss, Sd) vs attribute count and
   * attribute types, via the §4.2 record-set sweeps.
   */
 class Table5Bench extends AnyFunSuite {
 
-  private def report(label: String, ss: Int, sd: Int): (Int, Int) = {
-    val (pSs, pSd) = Tables.table5Paper(label)
-    println(Tables.fmtRow(s"Table5 $label", s"Ss=$pSs Sd=$pSd", s"Ss=$ss Sd=$sd"))
-    (ss, sd)
-  }
+  private lazy val results = Table5Job.table()
 
   test("Table 5a: optimal values vs attribute count (Cora, Alaska)") {
-    println("== Table 5: optimal Ss/Sd per attribute configuration ==")
-    val configs = Seq(
-      "Cora-A4"  -> DatasetProfile.cora.withAttrCount(4),
-      "Cora-A8"  -> DatasetProfile.cora.withAttrCount(8),
-      "Cora-A12" -> DatasetProfile.cora.withAttrCount(12),
-      "Alaska-A3" -> DatasetProfile.alaska.scaledTo(2400).copy(name = "Alaska").withAttrCount(3),
-      "Alaska-A6" -> DatasetProfile.alaska.scaledTo(2400).copy(name = "Alaska").withAttrCount(6),
-      "Alaska-A9" -> DatasetProfile.alaska.scaledTo(2400).copy(name = "Alaska").withAttrCount(9),
-    )
-    val results = configs.map { case (label, p) =>
-      val (ss, sd) = Sweeps.optimalFactors(p, n = 80)
-      report(label, ss, sd)
-    }
     // Paper finding: single-type textual datasets keep Ss stable near 9.
-    results.foreach { case (ss, sd) =>
+    Table5Job.byCount.map(c => results(c._1)).foreach { case (ss, sd) =>
       assert(ss >= 6 && ss <= 13, s"Ss drifted: $ss")
       assert(sd >= 2 && sd <= 5, s"Sd drifted: $sd")
     }
   }
 
   test("Table 5b: optimal values vs attribute types (WA, Citeseer)") {
-    val wa = DatasetProfile.walmartAmazon
-    val cs = DatasetProfile.citeseer.scaledTo(2400).copy(name = "Citeseer")
-    val configs = Seq(
-      "WA-full" -> wa, "WA-noT" -> wa.withoutKind(Textual).copy(name = "WA-noT"),
-      "WA-noN" -> wa.withoutKind(Numeric).copy(name = "WA-noN"),
-      "WA-noC" -> wa.withoutKind(Categorical).copy(name = "WA-noC"),
-      "Citeseer-full" -> cs, "Citeseer-noT" -> cs.withoutKind(Textual).copy(name = "Citeseer-noT"),
-      "Citeseer-noN" -> cs.withoutKind(Numeric).copy(name = "Citeseer-noN"),
-      "Citeseer-noC" -> cs.withoutKind(Categorical).copy(name = "Citeseer-noC"),
-    )
-    val results = configs.map { case (label, p) =>
-      label -> { val (ss, sd) = Sweeps.optimalFactors(p, n = 80); report(label, ss, sd) }
-    }.toMap
     // Paper finding: dropping WA's noisy textual attributes allows larger sets.
     assert(results("WA-noT")._1 >= results("WA-full")._1 - 1,
       s"WA-noT should allow Ss >= WA-full: ${results("WA-noT")._1} vs ${results("WA-full")._1}")

@@ -1,37 +1,22 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.DatasetProfile
-import repro.exp.{Harness, Tables}
+import repro.jobs.Table6Job
 
 /** Table 6 — end-to-end ER performance vs attribute count. */
 class Table6Bench extends SparkSpec {
 
   test("Table 6: end-to-end performance vs attribute count") {
-    println("== Table 6: end-to-end vs attribute count ==")
-    val configs = Seq(
-      ("Cora", Seq(4, 8, 12), DatasetProfile.cora),
-      ("Alaska", Seq(3, 6, 9), DatasetProfile.alaska),
-    )
-    configs.foreach { case (name, counts, base) =>
-      val rows = counts.map { n =>
-        n -> Harness.run(spark, base.withAttrCount(n), Harness.MCer)
-      }
-      rows.foreach { case (n, row) =>
-        val (pAcc, pFp) = Tables.table6Paper((name, n))
-        println(Tables.fmtRow(s"$name An=$n",
-          f"ACC=$pAcc%.2f FP=$pFp%.2f",
-          f"ACC=${row.acc}%.2f FP=${row.fp}%.2f $$${row.costUsd}%.2f " +
-          f"${row.tokensM}%.2fM calls=${row.apiCalls}"))
-      }
+    val rows = Table6Job.table(spark)
+    for ((name, keys) <- Table6Job.configs.map(_._1).groupBy(_._1)) {
+      val few = rows(keys.head); val all = rows(keys.last)
       // Paper finding: more attributes improve quality on single-type
       // data. Our synthetic twins show a flatter curve (extra attributes
       // also carry extra perturbation noise) — assert within-noise.
-      val accs = rows.map(_._2.acc)
-      assert(accs.last >= accs.head - 0.08,
-        s"$name: full-attribute ACC should not trail few-attribute: $accs")
+      assert(all.acc >= few.acc - 0.08,
+        s"$name: full-attribute ACC should not trail few-attribute: ${keys.map(rows(_).acc)}")
       // More attributes -> more tokens.
-      assert(rows.last._2.tokensM > rows.head._2.tokensM)
+      assert(all.tokensM > few.tokensM)
     }
   }
 }

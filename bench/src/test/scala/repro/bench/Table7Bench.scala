@@ -1,43 +1,22 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.data.{Categorical, DatasetProfile, Numeric, Textual}
-import repro.exp.{Harness, Tables}
+import repro.jobs.Table7Job
 
 /** Table 7 — end-to-end ER performance vs attribute types. */
 class Table7Bench extends SparkSpec {
 
   test("Table 7: end-to-end performance vs attribute-type ablations") {
-    println("== Table 7: end-to-end vs attribute types ==")
-    for (base <- Seq(DatasetProfile.walmartAmazon, DatasetProfile.citeseer)) {
-      val variants = Seq(
-        "full" -> base,
-        "noT"  -> base.withoutKind(Textual),
-        "noN"  -> base.withoutKind(Numeric),
-        "noC"  -> base.withoutKind(Categorical),
-      )
-      val rows = variants.map { case (label, p) =>
-        label -> Harness.run(spark, p, Harness.MCer)
-      }.toMap
-      rows.foreach { case (label, row) =>
-        val (pAcc, pFp) = Tables.table7Paper((base.name, label))
-        println(Tables.fmtRow(s"${base.name} $label",
-          f"ACC=$pAcc%.2f FP=$pFp%.2f",
-          f"ACC=${row.acc}%.2f FP=${row.fp}%.2f tok=${row.tokensM}%.2fM calls=${row.apiCalls}"))
-      }
-      if (base.name == "WA") {
-        // Paper finding: dropping WA's noisy textual attributes helps.
-        assert(rows("noT").acc >= rows("full").acc - 0.05,
-          s"WA noT=${rows("noT").acc} full=${rows("full").acc}")
-      } else {
-        // Citeseer (paper): every ablation hurts slightly. In our
-        // synthetic twin the long "abstract" field carries perturbation
-        // noise, so ablations land within noise of the full set rather
-        // than strictly below it — assert the within-noise band and see
-        // EXPERIMENTS.md for the documented deviation.
-        assert(rows("full").fp >= rows("noT").fp - 0.06,
-          s"Citeseer full=${rows("full").fp} noT=${rows("noT").fp}")
-      }
-    }
+    val rows = Table7Job.table(spark)
+    // Paper finding: dropping WA's noisy textual attributes helps.
+    assert(rows(("WA", "noT")).acc >= rows(("WA", "full")).acc - 0.05,
+      s"WA noT=${rows(("WA", "noT")).acc} full=${rows(("WA", "full")).acc}")
+    // Citeseer (paper): every ablation hurts slightly. In our
+    // synthetic twin the long "abstract" field carries perturbation
+    // noise, so ablations land within noise of the full set rather
+    // than strictly below it — assert the within-noise band and see
+    // EXPERIMENTS.md for the documented deviation.
+    assert(rows(("Citeseer", "full")).fp >= rows(("Citeseer", "noT")).fp - 0.06,
+      s"Citeseer full=${rows(("Citeseer", "full")).fp} noT=${rows(("Citeseer", "noT")).fp}")
   }
 }

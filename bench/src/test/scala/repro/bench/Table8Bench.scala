@@ -1,32 +1,20 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.ERParams
-import repro.data.DatasetProfile
-import repro.exp.{Harness, Tables}
+import repro.jobs.Table8Job
 
 /** Table 8 — effect of the MDG guardrail and record-set regeneration. */
 class Table8Bench extends SparkSpec {
 
   test("Table 8: MDG ablation on Cora, Alaska, AS") {
-    println("== Table 8: MDG ablation ==")
-    for (name <- Seq("Cora", "Alaska", "AS")) {
-      val p = DatasetProfile.byName(name)
-      val withMdg = Harness.run(spark, p, Harness.MCer, params = ERParams(useMDG = true))
-      val without = Harness.run(spark, p, Harness.MCer, params = ERParams(useMDG = false))
-      val ((pAccNo, pFpNo), (pAccYes, pFpYes)) = Tables.table8Paper(name)
-      println(Tables.fmtRow(s"$name w/o MDG",
-        f"ACC=$pAccNo%.2f FP=$pFpNo%.2f",
-        f"ACC=${without.acc}%.2f FP=${without.fp}%.2f calls=${without.apiCalls}"))
-      println(Tables.fmtRow(s"$name w/  MDG",
-        f"ACC=$pAccYes%.2f FP=$pFpYes%.2f",
-        f"ACC=${withMdg.acc}%.2f FP=${withMdg.fp}%.2f calls=${withMdg.apiCalls}"))
+    val rows = Table8Job.table(spark)
+    for (name <- Table8Job.datasets) {
+      val without = rows((name, false)); val withMdg = rows((name, true))
       // Paper finding: MDG improves quality at a modest call overhead.
       assert(withMdg.fp >= without.fp - 0.02,
         s"$name: MDG should not reduce FP (with=${withMdg.fp}, without=${without.fp})")
       assert(withMdg.apiCalls >= without.apiCalls)
-      assert(withMdg.apiCalls <= without.apiCalls * 3,
-        s"$name: MDG overhead out of band")
+      assert(withMdg.apiCalls <= without.apiCalls * 3, s"$name: MDG overhead out of band")
     }
   }
 }

@@ -4,7 +4,7 @@ import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import scala.collection.mutable.ArrayBuilder
-import repro.core.{KMeans, Record, UnionFind}
+import repro.core.{Record, UnionFind}
 import repro.embed.Embed
 
 /** Filtering / blocking strategies of §5.1, as Spark dataflow.
@@ -479,58 +479,6 @@ object Blocking {
     }
     Edges.concat(batches.collect().toSeq)
   }
-
-  /** Tune the similarity threshold bt on a labeled validation sample
-    * (§5.1's 0.05..0.95 sweep) by maximising pairwise F1, where a pair
-    * is predicted to match when its similarity `s >= t`.
-    *
-    * One counting pass over the pairs, in row chunks of about equal pair
-    * count on the common fork-join pool (`KMeans.parallel`), counts each
-    * pair into bucket `#{t : t <= s}`; the pairs at or above a threshold
-    * are then a suffix sum, integers whatever the order of addition.
-    */
-  def tuneThreshold(sample: Vector[Record], sims: (Record, Record) => Double): Double = {
-    val t = (1 to 19).map(_ * 0.05).toArray
-    val recs = sample.toArray
-    val n = recs.length
-    // Row i pairs record i with each later one and starts at pair before(i).
-    val total = n.toLong * (n - 1) / 2
-    def before(i: Int): Long = i.toLong * (2L * n - i - 1) / 2
-    val chunks = (0 until n).groupBy(i => before(i) * TuneChunks / math.max(1L, total)).values.toIndexedSeq
-    val counts = KMeans.parallel(chunks.map { rows => () =>
-      val same = new Array[Int](t.length + 1); val diff = new Array[Int](t.length + 1)
-      rows.foreach { i =>
-        var j = i + 1
-        while (j < n) {
-          val s = sims(recs(i), recs(j))
-          // A NaN similarity is neither >= t nor < t: it counts nowhere.
-          if (!s.isNaN) {
-            var b = 0
-            while (b < t.length && t(b) <= s) b += 1
-            if (recs(i).entityId == recs(j).entityId) same(b) += 1 else diff(b) += 1
-          }
-          j += 1
-        }
-      }
-      (same, diff)
-    })
-    val same = new Array[Int](t.length + 1); val diff = new Array[Int](t.length + 1)
-    counts.foreach { case (s, d) => for (b <- same.indices) { same(b) += s(b); diff(b) += d(b) } }
-    // The pairs with s >= t(k): those counted in a bucket above k.
-    def atLeast(c: Array[Int], k: Int): Int = c.iterator.drop(k + 1).sum
-    t(t.indices.maxBy { k =>
-      val tp = atLeast(same, k)
-      val fp = atLeast(diff, k)
-      val fn = same.sum - tp
-      if (tp == 0) 0.0 else {
-        val p = tp.toDouble / (tp + fp); val r = tp.toDouble / (tp + fn)
-        2 * p * r / (p + r)
-      }
-    })
-  }
-
-  /** About how many row chunks `tuneThreshold` counts in parallel. */
-  private final val TuneChunks = 16L
 }
 
 /** Scored record pairs packed in primitive arrays: pair k is

@@ -71,7 +71,7 @@ object KMeans {
     * a queued job: it runs, last first, every job no pool thread has
     * started. A job's exception is rethrown as it was thrown.
     */
-  private[repro] def parallel[A](jobs: IndexedSeq[() => A]): IndexedSeq[A] = {
+  private[core] def parallel[A](jobs: IndexedSeq[() => A]): IndexedSeq[A] = {
     val tasks = jobs.map(job => new FutureTask[A](() => job()))
     tasks.foreach(ForkJoinPool.commonPool().execute(_))
     tasks.reverseIterator.foreach(_.run())

@@ -39,8 +39,60 @@ object LLMCER {
   /** Tune the blocking threshold on a labeled sample (§5.1). */
   def tunedThreshold(ds: Dataset[Record], strategy: Blocking.Strategy): Double = {
     val sample = validationSample(ds)
-    Blocking.tuneThreshold(sample, simOf(strategy, sample))
+    tuneThreshold(sample, simOf(strategy, sample))
   }
+
+  /** Tune the similarity threshold bt on a labeled validation sample
+    * (§5.1's 0.05..0.95 sweep) by maximising pairwise F1, where a pair
+    * is predicted to match when its similarity `s >= t`.
+    *
+    * One counting pass over the pairs, in row chunks of about equal pair
+    * count on the common fork-join pool (`KMeans.parallel`), counts each
+    * pair into bucket `#{t : t <= s}`; the pairs at or above a threshold
+    * are then a suffix sum, integers whatever the order of addition.
+    */
+  def tuneThreshold(sample: Vector[Record], sims: (Record, Record) => Double): Double = {
+    val t = (1 to 19).map(_ * 0.05).toArray
+    val recs = sample.toArray
+    val n = recs.length
+    // Row i pairs record i with each later one and starts at pair before(i).
+    val total = n.toLong * (n - 1) / 2
+    def before(i: Int): Long = i.toLong * (2L * n - i - 1) / 2
+    val chunks = (0 until n).groupBy(i => before(i) * TuneChunks / math.max(1L, total)).values.toIndexedSeq
+    val counts = KMeans.parallel(chunks.map { rows => () =>
+      val same = new Array[Int](t.length + 1); val diff = new Array[Int](t.length + 1)
+      rows.foreach { i =>
+        var j = i + 1
+        while (j < n) {
+          val s = sims(recs(i), recs(j))
+          // A NaN similarity is neither >= t nor < t: it counts nowhere.
+          if (!s.isNaN) {
+            var b = 0
+            while (b < t.length && t(b) <= s) b += 1
+            if (recs(i).entityId == recs(j).entityId) same(b) += 1 else diff(b) += 1
+          }
+          j += 1
+        }
+      }
+      (same, diff)
+    })
+    val same = new Array[Int](t.length + 1); val diff = new Array[Int](t.length + 1)
+    counts.foreach { case (s, d) => for (b <- same.indices) { same(b) += s(b); diff(b) += d(b) } }
+    // The pairs with s >= t(k): those counted in a bucket above k.
+    def atLeast(c: Array[Int], k: Int): Int = c.iterator.drop(k + 1).sum
+    t(t.indices.maxBy { k =>
+      val tp = atLeast(same, k)
+      val fp = atLeast(diff, k)
+      val fn = same.sum - tp
+      if (tp == 0) 0.0 else {
+        val p = tp.toDouble / (tp + fp); val r = tp.toDouble / (tp + fn)
+        2 * p * r / (p + r)
+      }
+    })
+  }
+
+  /** About how many row chunks `tuneThreshold` counts in parallel. */
+  private final val TuneChunks = 16L
 
   /** The labeled validation sample both tunings read: the 600 records
     * with the smallest ids, in id order.
@@ -50,39 +102,19 @@ object LLMCER {
 
   /** The strategy's similarity over records of `sample`: cosine for LSH,
     * token Jaccard otherwise, with each record's distinct tokens interned
-    * once as an array of ids. A Jaccard marks the first record's tokens
-    * in a stamp array of the calling thread, kept while the calls go on
-    * with the same first record, as a tuner's row loop makes them.
+    * once as a sorted array of ids and intersected by the prefix join's
+    * `Blocking.jaccard`.
     */
   private def simOf(strategy: Blocking.Strategy, sample: Vector[Record]): (Record, Record) => Double =
     strategy match {
       case Blocking.LSH => (a, b) => a.cos(b)
       case _ =>
-        val ids  = scala.collection.mutable.HashMap.empty[String, Int]
+        val ids  = mutable.HashMap.empty[String, Int]
         val toks = sample.iterator.map { r =>
-          r.id -> Embed.tokens(r.text).distinct.map(t => ids.getOrElseUpdate(t, ids.size)).toArray
+          r.id -> Embed.tokens(r.text).distinct.map(t => ids.getOrElseUpdate(t, ids.size)).sorted.toArray
         }.toMap
-        val stamps = ThreadLocal.withInitial(() => new Stamps(ids.size))
-        (a, b) => stamps.get.jaccard(toks(a.id), toks(b.id))
+        (a, b) => Blocking.jaccard(toks(a.id), toks(b.id))
     }
-
-  /** Token-id marks for the intersections of one set with many. */
-  private final class Stamps(tokens: Int) {
-    private val mark = new Array[Int](tokens)
-    private var stamp = 0
-    private var marked: Array[Int] = null
-
-    /** `Embed.jaccard` of two distinct token-id sets: the same arithmetic,
-      * and 1 for two empty sets.
-      */
-    def jaccard(a: Array[Int], b: Array[Int]): Double = {
-      if (a.length == 0 && b.length == 0) return 1.0
-      if (!(marked eq a)) { stamp += 1; a.foreach(mark(_) = stamp); marked = a }
-      var inter = 0
-      b.foreach(t => if (mark(t) == stamp) inter += 1)
-      inter.toDouble / (a.length + b.length - inter)
-    }
-  }
 
   /** MDG coherence floor: the 5th percentile of same-entity pair
     * similarities on the validation sample. Catches merge-hallucination

@@ -4,7 +4,7 @@ import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.functions._
 import org.scalacheck.{Gen, Prop}
 import repro.{PropSupport, SparkSpec}
-import repro.core.Record
+import repro.core.{LLMCER, Record}
 import repro.data.{DatasetProfile, ERGen}
 import repro.embed.Embed
 
@@ -122,7 +122,7 @@ class BlockingSpec extends SparkSpec with PropSupport {
   }
 
   test("tuneThreshold returns a threshold in (0,1) maximising pair F1") {
-    val t = Blocking.tuneThreshold(local.take(120), (a, b) => a.cos(b))
+    val t = LLMCER.tuneThreshold(local.take(120), (a, b) => a.cos(b))
     assert(t >= 0.05 && t <= 0.95)
   }
   test("tuneThreshold splits clearly separated similarity distributions") {
@@ -133,7 +133,7 @@ class BlockingSpec extends SparkSpec with PropSupport {
                 else s"entity $ent common words there"
       Record(i.toLong, ent.toLong, txt, Embed.embed(txt))
     }.toVector
-    val t = Blocking.tuneThreshold(recs, (a, b) => a.cos(b))
+    val t = LLMCER.tuneThreshold(recs, (a, b) => a.cos(b))
     val same = recs(0).cos(recs(1)); val diff = recs(0).cos(recs(2))
     assert(t <= same && t > math.min(0.05, diff - 1))
   }
@@ -166,7 +166,7 @@ class BlockingSpec extends SparkSpec with PropSupport {
              sims.toVector)
     checkProp(Prop.forAllNoShrink(gen) { case (recs, table) =>
       val sims = (a: Record, b: Record) => table((a.id * recs.size + b.id).toInt)
-      Blocking.tuneThreshold(recs, sims) == bruteForceThreshold(recs, sims)
+      LLMCER.tuneThreshold(recs, sims) == bruteForceThreshold(recs, sims)
     }, minTests = 300)
   }
 

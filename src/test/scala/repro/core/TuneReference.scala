@@ -4,7 +4,7 @@ import org.apache.spark.sql.Dataset
 import repro.blocking.Blocking
 import repro.embed.Embed
 
-/** The tuning that `Blocking.tuneThreshold` and `LLMCER.tunedFloor`
+/** The tuning that `LLMCER.tuneThreshold` and `LLMCER.tunedFloor`
   * replaced, kept verbatim (sorted similarity arrays searched per
   * threshold; a loop over every pair for the floor; Jaccard by a merge of
   * sorted token ids) as the reference `TuneSpec` holds them to: the same

@@ -48,11 +48,11 @@ class TuneSpec extends SparkSpec with PropSupport {
   test("tuneThreshold equals the sort-based reference bit for bit, on and next to the grid") {
     checkProp(Prop.forAllNoShrink(size, Gen.long) { (n, seed) =>
       val (recs, sim) = sample(n, seed, nan = true)
-      bits(Blocking.tuneThreshold(recs, sim)) == bits(TuneReference.tuneThreshold(recs, sim))
+      bits(LLMCER.tuneThreshold(recs, sim)) == bits(TuneReference.tuneThreshold(recs, sim))
     }, minTests = 600)
     for (seed <- 1L to 3L) {
       val (recs, sim) = sample(600, seed, nan = true)
-      assert(bits(Blocking.tuneThreshold(recs, sim)) == bits(TuneReference.tuneThreshold(recs, sim)), s"600, seed $seed")
+      assert(bits(LLMCER.tuneThreshold(recs, sim)) == bits(TuneReference.tuneThreshold(recs, sim)), s"600, seed $seed")
     }
   }
 
